@@ -26,7 +26,6 @@ from .kernels import (
     TabulatedKernel,
     ZeroKernel,
     check_nonnegative_definite,
-    eval_kernel,
     integrated_increments,
 )
 from .model import (
@@ -34,17 +33,13 @@ from .model import (
     ScenarioParams,
     StrategyPath,
     TimeGrid,
-    TransformedInputs,
     evaluate_objective,
     rollout,
-    transformed_inputs,
 )
 from .nystrom import (
     NystromEngine,
-    build_curvature_factors,
     build_feedback_matrix,
     build_source_vector,
-    curvature_response,
     dense_curvature,
     solve_scenario,
     solve_scenario_detail,

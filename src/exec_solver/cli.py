@@ -279,7 +279,7 @@ def parse_config(text: str, base_dir: Path | str = ".") -> RunConfig:
     kernel = _build_kernel(kv, base_dir, grid)
     signal = _build_signal(kv, base_dir, grid)
 
-    if mode in ("solve", "sweep", "compare", "mc") and scenario.phi != 0.0:
+    if scenario.phi != 0.0:
         raise ConfigError(
             "scenario.phi > 0 is outside the grid solver's domain; use the "
             "quadratic-program oracle API (exec_solver.oracle) for phi > 0"

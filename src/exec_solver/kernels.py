@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, NumericError, SingularKernelError
-from .model import ScenarioParams, TimeGrid
+from .model import ScenarioParams, TimeGrid, require_finite
 
 __all__ = [
     "PropagatorKernel",
@@ -32,7 +32,6 @@ __all__ = [
     "BoundedPowerLawKernel",
     "TabulatedKernel",
     "IntegratedIncrements",
-    "eval_kernel",
     "integrated_increments",
     "DefinitenessReport",
     "check_nonnegative_definite",
@@ -97,6 +96,7 @@ class ExponentialKernel(PropagatorKernel):
     rho: float = 1.0
 
     def __post_init__(self):
+        require_finite(self, "c", "rho")
         if not self.c > 0:
             raise InputError(f"exponential kernel needs c > 0, got {self.c}")
         if not self.rho > 0:
@@ -133,6 +133,7 @@ class FractionalKernel(PropagatorKernel):
     alpha: float = 0.75
 
     def __post_init__(self):
+        require_finite(self, "c", "alpha")
         if not self.c > 0:
             raise InputError(f"fractional kernel needs c > 0, got {self.c}")
         if not 0.5 < self.alpha < 1.0:
@@ -192,6 +193,7 @@ class BoundedPowerLawKernel(PropagatorKernel):
     beta: float = 1.0
 
     def __post_init__(self):
+        require_finite(self, "ell0", "beta")
         if not self.ell0 > 0:
             raise InputError(f"bounded power-law kernel needs ell0 > 0, got {self.ell0}")
         if not self.beta > 0:
@@ -221,6 +223,8 @@ class TabulatedKernel(PropagatorKernel):
             raise InputError("tabulated kernel needs matching 1-d times and values")
         if not np.all(np.diff(times) > 0) or times[0] != 0.0:
             raise InputError("tabulated kernel times must be increasing and start at 0")
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise InputError("tabulated kernel times and values must be finite")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
@@ -233,11 +237,6 @@ class TabulatedKernel(PropagatorKernel):
 
     def quadrature_knots(self):
         return self.times
-
-
-def eval_kernel(kernel: PropagatorKernel, t: float, s: float) -> float:
-    """Pointwise propagator value G(t, s); zero for s >= t."""
-    return kernel.evaluate(t, s)
 
 
 # ---------------------------------------------------------------------------

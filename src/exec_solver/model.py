@@ -14,6 +14,7 @@ equation solver all optimize the same discrete objective.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,11 +26,17 @@ __all__ = [
     "TimeGrid",
     "StrategyPath",
     "ObjectiveBreakdown",
-    "TransformedInputs",
-    "transformed_inputs",
     "rollout",
     "evaluate_objective",
 ]
+
+
+def require_finite(obj, *names):
+    """Raise InputError unless each named attribute of ``obj`` is a finite number."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise InputError(f"{type(obj).__name__} needs a finite {name}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +60,9 @@ class ScenarioParams:
     h0: float | np.ndarray = 0.0
 
     def __post_init__(self):
+        require_finite(self, "q", "T", "lam", "varrho", "phi")
+        if not np.all(np.isfinite(self.h0)):
+            raise InputError("initial distortion h0 must be finite")
         if not self.T > 0:
             raise InputError(f"horizon T must be > 0, got {self.T}")
         if not self.lam > 0:
@@ -86,6 +96,7 @@ class TimeGrid:
     def __post_init__(self):
         if self.n < 2:
             raise InputError(f"grid needs at least 2 steps, got n={self.n}")
+        require_finite(self, "T")
         if not self.T > 0:
             raise InputError(f"horizon T must be > 0, got {self.T}")
         object.__setattr__(self, "t", np.linspace(0.0, self.T, self.n + 1))
@@ -135,29 +146,6 @@ class StrategyPath:
     Z: np.ndarray
     I: np.ndarray | None = None
     objective: ObjectiveBreakdown | None = None
-
-
-@dataclass(frozen=True)
-class TransformedInputs:
-    """Penalty-absorbing shift of the inputs.
-
-    h_tilde0 = h0 - 2*varrho*q on the grid; the matching kernel
-    augmentation adds 2*varrho below the diagonal and is exposed through
-    ``g_tilde`` (zero for s >= t, like the kernel itself).
-    """
-
-    h_tilde0: np.ndarray
-    varrho: float
-    kernel: object
-
-    def g_tilde(self, t: float, s: float) -> float:
-        aug = 2.0 * self.varrho if s < t else 0.0
-        return aug + self.kernel.evaluate(t, s)
-
-
-def transformed_inputs(params: ScenarioParams, grid: TimeGrid, kernel) -> TransformedInputs:
-    h_tilde0 = params.h0_values(grid) - 2.0 * params.varrho * params.q
-    return TransformedInputs(h_tilde0=h_tilde0, varrho=params.varrho, kernel=kernel)
 
 
 def _check_grid(params: ScenarioParams, grid: TimeGrid):

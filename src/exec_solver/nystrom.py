@@ -6,8 +6,12 @@ signal forecast matrix N and the shifted initial distortion. On the grid
 this becomes a unit lower-triangular system solved by forward substitution:
 
     1. per-step curvature matrices  D_i = 2*lam*I + (L + U restricted to
-       indices >= i), which are block-diagonal with an identity head block,
-    2. response rows  w_i = U_i^T D_i^{-1}  (one transposed solve each),
+       indices >= i), block-diagonal with a 2*lam*I head block; on the
+       uniform grid the trailing block is the leading (n-i) section of one
+       Toeplitz matrix 2*lam*I + (L + U)[:n, :n],
+    2. response rows  w_i = U_i^T D_i^{-1}, all n of them from one
+       Levinson-Trench recursion over those nested sections: O(n^2) time
+       and O(n) memory besides the rows,
     3. feedback matrix  B[i, j] = (w_i . L_col_j - L[i, j]) / (2*lam) on the
        strict lower triangle, and source vector
        a_i = (N[i, i] - h~_i - w_i . N_col_i + w_i . h~) / (2*lam),
@@ -20,6 +24,7 @@ with phi > 0 are handled by the direct quadratic-program route in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -31,10 +36,7 @@ from .model import ScenarioParams, StrategyPath, TimeGrid, evaluate_objective, r
 from .signals import SignalModel, forecast_matrix, price_path, simulate_signal
 
 __all__ = [
-    "CurvatureFactor",
-    "build_curvature_factors",
     "dense_curvature",
-    "curvature_response",
     "response_rows",
     "build_feedback_matrix",
     "build_source_vector",
@@ -60,62 +62,6 @@ def symmetrized_core(inc: IntegratedIncrements) -> np.ndarray:
     return inc.L[:n, :n] + inc.U[:n, :n]
 
 
-@dataclass(eq=False)
-class CurvatureFactor:
-    """Factorization of one curvature matrix D_i.
-
-    D_i is 2*lam*I on indices < i and 2*lam*I plus the trailing block of
-    L + U on indices >= i, with zero off-diagonal coupling, so the stored
-    factor is an LU (partial pivoting) of the trailing block only.
-    """
-
-    i: int
-    n: int
-    two_lam: float
-    lu: tuple | None
-
-    def solve(self, f: np.ndarray, transpose: bool = False) -> np.ndarray:
-        f = np.asarray(f, dtype=float)
-        if f.shape != (self.n,):
-            raise InputError(f"right-hand side has shape {f.shape}, expected ({self.n},)")
-        x = f / self.two_lam
-        if self.lu is not None:
-            x[self.i:] = scipy.linalg.lu_solve(self.lu, f[self.i:], trans=1 if transpose else 0)
-        return x
-
-    def response_row(self, u_row: np.ndarray) -> np.ndarray:
-        """w = D_i^{-T} u_row for a row supported on indices >= i."""
-        w = np.zeros(self.n)
-        if self.lu is not None:
-            w[self.i:] = scipy.linalg.lu_solve(self.lu, u_row[self.i:], trans=1)
-        return w
-
-
-def _factor_block(core: np.ndarray, two_lam: float, i: int, n: int) -> CurvatureFactor:
-    m = n - i
-    if m == 0:
-        return CurvatureFactor(i=i, n=n, two_lam=two_lam, lu=None)
-    block = two_lam * np.eye(m) + core[i:, i:]
-    try:
-        lu = scipy.linalg.lu_factor(block)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericError(f"curvature matrix at step {i} is singular: {exc}") from exc
-    return CurvatureFactor(i=i, n=n, two_lam=two_lam, lu=lu)
-
-
-def build_curvature_factors(inc: IntegratedIncrements, params: ScenarioParams,
-                            grid: TimeGrid) -> list[CurvatureFactor]:
-    """Factor all n+1 curvature matrices D_0 .. D_n (kept in memory).
-
-    Storage grows like n^3 / 3 doubles; fine at desk scale, while the
-    scenario pipeline streams the factors instead of calling this.
-    """
-    _require_phi_zero(params)
-    n = grid.n
-    core = symmetrized_core(inc)
-    return [_factor_block(core, 2.0 * params.lam, i, n) for i in range(n + 1)]
-
-
 def dense_curvature(inc: IntegratedIncrements, params: ScenarioParams,
                     grid: TimeGrid, i: int) -> np.ndarray:
     """D_i as an explicit n x n matrix (diagnostics and positivity checks)."""
@@ -127,36 +73,61 @@ def dense_curvature(inc: IntegratedIncrements, params: ScenarioParams,
     return D
 
 
-def curvature_response(i: int, f: np.ndarray, inc: IntegratedIncrements,
-                       factors: list[CurvatureFactor]) -> float:
-    """The inner product U_i . D_i^{-1} f used by every solver ingredient."""
-    n = inc.L.shape[0] - 1
-    f = np.asarray(f, dtype=float)
-    if f.shape != (n,):
-        raise InputError(f"f has shape {f.shape}, expected ({n},)")
-    x = factors[i].solve(f)
-    return float(inc.U[i, :n] @ x)
+# a Levinson pivot this close to zero, relative to its own terms, means the
+# leading section it completes is singular to working precision
+_PIVOT_FLOOR = 1e3 * np.finfo(float).eps
 
 
-def response_rows(inc: IntegratedIncrements, params: ScenarioParams, grid: TimeGrid,
-                  factors: list[CurvatureFactor] | None = None) -> np.ndarray:
-    """All rows w_i = U_i^T D_i^{-1}, shape (n+1, n).
+def _check_pivot(pivot: float, scale: float, step: int):
+    if not (math.isfinite(pivot) and abs(pivot) > _PIVOT_FLOOR * scale):
+        raise NumericError(
+            f"curvature matrix at step {step} is singular to working precision "
+            f"(Levinson pivot {pivot:.3g})"
+        )
 
-    With ``factors`` given the stored factorizations are reused; otherwise
-    each block is factored, used and dropped, keeping memory at one block.
+
+def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
+                  grid: TimeGrid) -> np.ndarray:
+    """All rows w_i = U_i^T D_i^{-1}, shape (n+1, n), in O(n^2) time.
+
+    The increments come from one cell vector on a uniform grid, so
+    A = 2*lam*I + (L + U)[:n, :n] is Toeplitz and the trailing block of D_i
+    is its leading section A_m, m = n - i. The restricted U_i is
+    A_m^T e_1 - 2*lam*e_1, hence w_i = e_1 - 2*lam*f_m on indices >= i,
+    where f_m = A_m^{-T} e_1 is the forward vector of the Levinson-Trench
+    recursion on A^T (Golub & Van Loan, Matrix Computations, 4.7). The
+    recursion also carries the backward vector b_m = A_m^{-T} e_m and, to
+    keep small rows accurate, the entry w_i[i] = 1 - 2*lam*f_m[0] as a
+    scalar. Row n is zero. Raises NumericError naming the step whose
+    section is singular to working precision.
     """
-    n = grid.n
-    W = np.zeros((n + 1, n))
-    if factors is not None:
-        for i in range(n + 1):
-            W[i] = factors[i].response_row(inc.U[i, :n])
-        return W
     _require_phi_zero(params)
-    core = symmetrized_core(inc)
+    n = grid.n
     two_lam = 2.0 * params.lam
-    for i in range(n):
-        fac = _factor_block(core, two_lam, i, n)
-        W[i] = fac.response_row(inc.U[i, :n])
+    col = inc.L[:n, 0] + inc.U[:n, 0]  # first column of A - 2*lam*I
+    row = inc.L[0, :n] + inc.U[0, :n]  # first row of A - 2*lam*I
+    W = np.zeros((n + 1, n))
+
+    diag = two_lam + col[0]
+    _check_pivot(diag, two_lam + abs(col[0]), n - 1)
+    # after size m, f[:m] holds f_m and b[n-m:] holds b_m, with zeros
+    # elsewhere, so f[:m+1] is [f_m; 0] and b[n-m-1:] is [0; b_m]
+    f = np.zeros(n)
+    b = np.zeros(n)
+    f[0] = b[-1] = 1.0 / diag
+    head = col[0] / diag
+    W[n - 1, n - 1] = head
+    for m in range(2, n + 1):
+        i = n - m
+        ef = row[m - 1:0:-1] @ f[:m - 1]
+        eb = col[1:m] @ b[i + 1:]
+        pivot = 1.0 - ef * eb
+        _check_pivot(pivot, 1.0 + abs(ef * eb), i)
+        fz, bz = f[:m], b[i:]
+        f[:m], b[i:] = (fz - ef * bz) / pivot, (bz - eb * fz) / pivot
+        head = (head - ef * eb) / pivot
+        W[i, i:] = -two_lam * f[:m]
+        W[i, i] = head
     return W
 
 
@@ -174,16 +145,14 @@ def _source_from_rows(W: np.ndarray, inc: IntegratedIncrements, lam: float,
 
 
 def build_feedback_matrix(inc: IntegratedIncrements, params: ScenarioParams,
-                          grid: TimeGrid, factors: list[CurvatureFactor]) -> np.ndarray:
+                          grid: TimeGrid) -> np.ndarray:
     """Strictly lower-triangular feedback matrix B."""
-    _require_phi_zero(params)
-    W = response_rows(inc, params, grid, factors)
+    W = response_rows(inc, params, grid)
     return _feedback_from_rows(W, inc, params.lam)
 
 
 def build_source_vector(inc: IntegratedIncrements, params: ScenarioParams,
-                        grid: TimeGrid, forecasts: np.ndarray,
-                        factors: list[CurvatureFactor]) -> np.ndarray:
+                        grid: TimeGrid, forecasts: np.ndarray) -> np.ndarray:
     """Source vector a, affine in the forecasts and the shifted distortion."""
     _require_phi_zero(params)
     if forecasts.shape != (grid.n + 1, grid.n + 1):
@@ -192,7 +161,7 @@ def build_source_vector(inc: IntegratedIncrements, params: ScenarioParams,
             f"expected ({grid.n + 1}, {grid.n + 1})"
         )
     h_tilde = params.h0_values(grid) - 2.0 * params.varrho * params.q
-    W = response_rows(inc, params, grid, factors)
+    W = response_rows(inc, params, grid)
     return _source_from_rows(W, inc, params.lam, h_tilde, forecasts)
 
 
@@ -209,8 +178,8 @@ def solve_speed(a: np.ndarray, B: np.ndarray) -> np.ndarray:
 class NystromEngine:
     """Signal-independent precomputation for repeated solves on one scenario.
 
-    Factors the curvature blocks once (streaming), keeps the response rows
-    and the feedback matrix, and turns each realized signal path into an
+    Runs the response-row recursion once, keeps the response rows and the
+    feedback matrix, and turns each realized signal path into an
     optimal speed vector with O(n^2) work. Used by the Monte Carlo engine,
     where only the source vector changes from path to path.
     """

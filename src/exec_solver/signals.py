@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, UnsupportedSignalError
-from .model import TimeGrid
+from .model import TimeGrid, require_finite
 
 __all__ = [
     "SignalModel",
@@ -57,6 +57,7 @@ class OUSignal(SignalModel):
     sigma: float
 
     def __post_init__(self):
+        require_finite(self, "I0", "gamma", "sigma")
         if self.gamma < 0:
             raise InputError(f"OU signal needs gamma >= 0, got {self.gamma}")
         if self.sigma < 0:
@@ -79,6 +80,8 @@ class TabulatedSignal(SignalModel):
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1:
             raise InputError("tabulated signal values must be a 1-d vector")
+        if not np.all(np.isfinite(values)):
+            raise InputError("tabulated signal values must be finite")
         object.__setattr__(self, "values", values)
         if self.forecast is not None:
             fc = np.asarray(self.forecast, dtype=float)
@@ -87,6 +90,8 @@ class TabulatedSignal(SignalModel):
                 raise InputError(
                     f"forecast matrix has shape {fc.shape}, expected ({m}, {m})"
                 )
+            if not np.all(np.isfinite(fc)):
+                raise InputError("forecast matrix entries must be finite")
             object.__setattr__(self, "forecast", fc)
 
 

@@ -25,6 +25,25 @@ signal.sigma = 0.5
 """
 
 
+# one non-finite value per numeric config key, with the lines that make it used
+NON_FINITE_VALUES = [
+    ("scenario.q", "nan", ""),
+    ("scenario.T", "inf", ""),
+    ("scenario.lambda", "inf", ""),
+    ("scenario.varrho", "inf", ""),
+    ("scenario.phi", "nan", ""),
+    ("scenario.h0", "nan", ""),
+    ("signal.I0", "nan", "signal.type = ou"),
+    ("signal.gamma", "nan", "signal.type = ou"),
+    ("signal.sigma", "inf", "signal.type = ou"),
+    ("kernel.c", "inf", "kernel.type = fractional"),
+    ("kernel.alpha", "nan", "kernel.type = fractional"),
+    ("kernel.rho", "inf", "kernel.type = exponential"),
+    ("kernel.ell0", "inf", "kernel.type = bounded_power_law"),
+    ("kernel.beta", "nan", "kernel.type = bounded_power_law"),
+]
+
+
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -217,6 +236,34 @@ class TestMain:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("mode = warp\noutput_dir = out\n")
         assert main(["--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("key, value, context", NON_FINITE_VALUES,
+                             ids=[key for key, _, _ in NON_FINITE_VALUES])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, key, value, context):
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(f"mode = solve\noutput_dir = {tmp_path / 'o'}\ngrid.n = 8\n"
+                       f"{context}\n{key} = {value}\n")
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "finite" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, rows, context", [
+        ("kernel.csv", ["1.0", "nan", "0.5"], "kernel.type = tabulated"),
+        ("scenario.h0_csv", ["0.0", "inf", "0.0"], ""),
+        ("signal.csv", ["1.0", "nan", "1.0"], "signal.type = tabulated"),
+        ("signal.forecast_csv", ["0,0,0", "0,nan,0", "0,0,0"],
+         "signal.type = tabulated\nsignal.csv = ones.csv"),
+    ], ids=["kernel.csv", "scenario.h0_csv", "signal.csv", "signal.forecast_csv"])
+    def test_non_finite_csv_exits_2(self, tmp_path, capsys, key, rows, context):
+        (tmp_path / "ones.csv").write_text("1\n1\n1\n")
+        (tmp_path / "data.csv").write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "nonfinite.cfg"
+        cfg.write_text(f"mode = solve\noutput_dir = {tmp_path / 'o'}\ngrid.n = 2\n"
+                       f"{context}\n{key} = data.csv\n")
+        assert main(["--config", str(cfg)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_numeric_error_exits_3(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "ok.cfg"

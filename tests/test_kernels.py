@@ -16,7 +16,6 @@ from exec_solver import (
     TimeGrid,
     ZeroKernel,
     check_nonnegative_definite,
-    eval_kernel,
     integrated_increments,
 )
 
@@ -39,29 +38,29 @@ def exp_series(x, terms=40):
 class TestEval:
     def test_exponential_point_value(self):
         k = ExponentialKernel(c=1.0, rho=0.5)
-        assert eval_kernel(k, 2.0, 1.0) == pytest.approx(exp_series(-0.5), rel=1e-13)
-        assert eval_kernel(k, 2.0, 1.0) == pytest.approx(0.6065306597126334, rel=1e-12)
+        assert k.evaluate(2.0, 1.0) == pytest.approx(exp_series(-0.5), rel=1e-13)
+        assert k.evaluate(2.0, 1.0) == pytest.approx(0.6065306597126334, rel=1e-12)
 
     def test_volterra_property(self):
         for k in ALL_DECAYING + [ZeroKernel()]:
-            assert eval_kernel(k, 1.0, 2.0) == 0.0
-            assert eval_kernel(k, 1.0, 1.5) == 0.0
+            assert k.evaluate(1.0, 2.0) == 0.0
+            assert k.evaluate(1.0, 1.5) == 0.0
 
     def test_zero_kernel(self):
         k = ZeroKernel()
-        assert eval_kernel(k, 2.0, 1.0) == 0.0
-        assert eval_kernel(k, 0.3, 0.1) == 0.0
+        assert k.evaluate(2.0, 1.0) == 0.0
+        assert k.evaluate(0.3, 0.1) == 0.0
 
     def test_fractional_diagonal_raises(self):
         k = FractionalKernel(1.0, 0.55)
         with pytest.raises(SingularKernelError):
-            eval_kernel(k, 1.0, 1.0)
-        assert eval_kernel(k, 1.0, 1.0001) == 0.0
+            k.evaluate(1.0, 1.0)
+        assert k.evaluate(1.0, 1.0001) == 0.0
 
     def test_tabulated_interpolates(self):
         grid = TimeGrid.uniform(2.0, 4)
         k = TabulatedKernel.from_grid_values(grid, [4.0, 3.0, 2.0, 1.0, 0.5])
-        assert eval_kernel(k, 1.25, 1.0) == pytest.approx(3.5, rel=1e-14)
+        assert k.evaluate(1.25, 1.0) == pytest.approx(3.5, rel=1e-14)
 
 
 class TestValidation:
@@ -78,6 +77,19 @@ class TestValidation:
             BoundedPowerLawKernel(ell0=-1.0, beta=1.0)
         with pytest.raises(InputError):
             TabulatedKernel(times=np.array([0.0, 1.0]), values=np.array([1.0]))
+
+    @pytest.mark.parametrize("build", [
+        lambda: ExponentialKernel(c=np.inf, rho=1.0),
+        lambda: ExponentialKernel(c=1.0, rho=np.inf),
+        lambda: FractionalKernel(c=np.nan, alpha=0.75),
+        lambda: BoundedPowerLawKernel(ell0=np.inf, beta=1.0),
+        lambda: BoundedPowerLawKernel(ell0=1.0, beta=np.nan),
+        lambda: TabulatedKernel(times=np.array([0.0, 1.0]), values=np.array([1.0, np.nan])),
+        lambda: TabulatedKernel(times=np.array([0.0, np.inf]), values=np.array([1.0, 0.5])),
+    ])
+    def test_non_finite_parameters_rejected(self, build):
+        with pytest.raises(InputError, match="finite"):
+            build()
 
     def test_from_beta_convention(self):
         k = FractionalKernel.from_beta(c=2.0, beta=0.45)

@@ -12,7 +12,6 @@ from exec_solver import (
     ZeroKernel,
     evaluate_objective,
     rollout,
-    transformed_inputs,
 )
 
 
@@ -45,6 +44,18 @@ class TestScenarioParams:
         with pytest.raises(InputError):
             ScenarioParams(q=1, T=2, lam=1, h0=np.arange(4.0)).h0_values(grid)
 
+    @pytest.mark.parametrize("field", ["q", "T", "lam", "varrho", "phi", "h0"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, field, bad):
+        kwargs = dict(q=1.0, T=1.0, lam=1.0, varrho=0.0, phi=0.0, h0=0.0)
+        kwargs[field] = bad
+        with pytest.raises(InputError, match="finite"):
+            ScenarioParams(**kwargs)
+
+    def test_rejects_non_finite_tabulated_h0(self):
+        with pytest.raises(InputError, match="finite"):
+            ScenarioParams(q=1.0, T=2.0, lam=1.0, h0=np.array([0.0, np.nan, 0.0]))
+
 
 class TestTimeGrid:
     def test_endpoints_and_uniformity(self):
@@ -58,6 +69,11 @@ class TestTimeGrid:
     def test_too_few_steps(self):
         with pytest.raises(InputError):
             TimeGrid.uniform(1.0, 1)
+
+    def test_non_finite_horizon(self):
+        for T in (np.inf, np.nan):
+            with pytest.raises(InputError, match="finite"):
+                TimeGrid.uniform(T, 4)
 
 
 class TestRollout:
@@ -165,15 +181,3 @@ class TestObjective:
         with pytest.raises(InputError):
             evaluate_objective(path, fig1_params, grid, np.zeros(8))
 
-
-class TestTransformedInputs:
-    def test_shift_and_augmentation(self, fig1_params, exp_kernel):
-        grid = TimeGrid.uniform(10, 8)
-        tr = transformed_inputs(fig1_params, grid, exp_kernel)
-        expected = fig1_params.h0_values(grid) - 2 * 4.0 * 10.0
-        assert np.array_equal(tr.h_tilde0, expected)
-        # vanishes on and above the diagonal, adds the penalty below
-        assert tr.g_tilde(1.0, 1.0) == 0.0
-        assert tr.g_tilde(1.0, 2.0) == 0.0
-        below = tr.g_tilde(2.0, 1.0)
-        assert below == pytest.approx(8.0 + np.exp(-0.5), rel=1e-14)

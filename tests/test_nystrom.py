@@ -1,20 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exec_solver import (
     BoundedPowerLawKernel,
     ExponentialKernel,
     FractionalKernel,
     InputError,
+    IntegratedIncrements,
+    NumericError,
     OUSignal,
     ScenarioParams,
+    TabulatedKernel,
     TimeGrid,
     ZeroKernel,
     ZeroSignal,
-    build_curvature_factors,
     build_feedback_matrix,
     build_source_vector,
-    curvature_response,
     dense_curvature,
     integrated_increments,
     rollout,
@@ -35,6 +38,44 @@ def direct_loop_curvature(inc, lam, n, i):
             if i <= k <= n - 1:
                 d[k, j] += inc.U[k, j]
     return 2.0 * lam * np.eye(n) + d
+
+
+def dense_response_rows(inc, params, grid):
+    """Reference rows w_i = D_i^{-T} U_i, one dense solve per step."""
+    n = grid.n
+    W = np.zeros((n + 1, n))
+    for i in range(n + 1):
+        W[i] = np.linalg.solve(dense_curvature(inc, params, grid, i).T, inc.U[i, :n])
+    return W
+
+
+def increments_from_cells(cell, dt=1.0):
+    """Increments of a convolution kernel with the given cell integrals, varrho = 0."""
+    cell = np.asarray(cell, dtype=float)
+    n = cell.size
+    k, j = np.indices((n + 1, n + 1))
+    L = np.where(k > j, cell[np.clip(k - j - 1, 0, n - 1)], 0.0)
+    U = np.where((j >= k) & (j < n), cell[np.clip(j - k, 0, n - 1)], 0.0)
+    return IntegratedIncrements(L=L, U=U, LG=L, dt=dt, varrho=0.0)
+
+
+@st.composite
+def admissible_kernels(draw, grid):
+    kind = draw(st.sampled_from(["exponential", "fractional", "bounded_power_law", "tabulated"]))
+    pos = st.floats(0.05, 5.0)
+    scale = st.floats(1e-6, 5.0)  # down to impact far below the temporary cost
+    if kind == "exponential":
+        return ExponentialKernel(c=draw(scale), rho=draw(pos))
+    if kind == "fractional":
+        return FractionalKernel(c=draw(scale), alpha=draw(st.floats(0.51, 0.99)))
+    if kind == "bounded_power_law":
+        # ell0 at least one cell wide: the quadrature fallback refuses sharper cells
+        ell0 = grid.dt * draw(st.floats(1.0, 10.0))
+        return BoundedPowerLawKernel(ell0=ell0, beta=draw(st.floats(0.1, 2.0)))
+    # a positive mixture of exponentials: nonnegative, decreasing and convex
+    terms = draw(st.lists(st.tuples(pos, pos), min_size=1, max_size=3))
+    values = sum(c * np.exp(-rho * grid.t) for c, rho in terms)
+    return TabulatedKernel.from_grid_values(grid, values)
 
 
 class TestCurvature:
@@ -61,17 +102,16 @@ class TestCurvature:
                 want = direct_loop_curvature(inc, fig1_params.lam, 8, i)
                 assert np.allclose(got, want, rtol=0, atol=1e-14)
 
-    def test_factor_solves_match_dense(self, fig1_params, exp_kernel, rng):
+    def test_response_rows_apply_dense_inverse(self, fig1_params, exp_kernel, rng):
+        # w_i . f is U_i . D_i^{-1} f for any right-hand side f
         grid = TimeGrid.uniform(10, 10)
         inc = integrated_increments(exp_kernel, fig1_params, grid)
-        factors = build_curvature_factors(inc, fig1_params, grid)
+        W = response_rows(inc, fig1_params, grid)
         for i in (0, 4, 9, 10):
             D = dense_curvature(inc, fig1_params, grid, i)
-            f = rng.normal(size=10)
-            assert np.allclose(factors[i].solve(f), np.linalg.solve(D, f),
+            f = rng.normal(size=(10, 3))
+            assert np.allclose(W[i] @ f, inc.U[i, :10] @ np.linalg.solve(D, f),
                                rtol=1e-12, atol=1e-13)
-            assert np.allclose(factors[i].solve(f, transpose=True),
-                               np.linalg.solve(D.T, f), rtol=1e-12, atol=1e-13)
 
     def test_min_eigenvalue_at_least_lam(self, fig1_params):
         # symmetrized curvature stays above the temporary-impact floor
@@ -100,7 +140,7 @@ class TestCurvature:
         grid = TimeGrid.uniform(10, 6)
         inc = integrated_increments(exp_kernel, params, grid)
         with pytest.raises(InputError, match="oracle"):
-            build_curvature_factors(inc, params, grid)
+            response_rows(inc, params, grid)
 
 
 class TestResponse:
@@ -108,15 +148,17 @@ class TestResponse:
         params = ScenarioParams(q=10, T=10, lam=0.5, varrho=0)
         grid = TimeGrid.uniform(10, 6)
         inc = integrated_increments(ZeroKernel(), params, grid)
-        factors = build_curvature_factors(inc, params, grid)
+        W = response_rows(inc, params, grid)
+        assert np.all(W == 0.0)
         for i in (0, 3, 6):
-            assert curvature_response(i, rng.normal(size=6), inc, factors) == 0.0
+            assert W[i] @ rng.normal(size=6) == 0.0
 
     def test_zero_rhs(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10, 6)
         inc = integrated_increments(exp_kernel, fig1_params, grid)
-        factors = build_curvature_factors(inc, fig1_params, grid)
-        assert curvature_response(2, np.zeros(6), inc, factors) == 0.0
+        W = response_rows(inc, fig1_params, grid)
+        assert np.any(W[2] != 0.0)
+        assert W[2] @ np.zeros(6) == 0.0
 
     def test_dense_solve_oracle(self):
         # n = 4, dt = 1, i = 0, f = ones, against a generic dense solve
@@ -124,19 +166,40 @@ class TestResponse:
         grid = TimeGrid.uniform(4, 4)
         kernel = ExponentialKernel(1.0, 0.5)
         inc = integrated_increments(kernel, params, grid)
-        factors = build_curvature_factors(inc, params, grid)
-        got = curvature_response(0, np.ones(4), inc, factors)
+        got = float(response_rows(inc, params, grid)[0] @ np.ones(4))
         D = dense_curvature(inc, params, grid, 0)
         want = float(inc.U[0, :4] @ np.linalg.solve(D, np.ones(4)))
         assert got == pytest.approx(want, abs=1e-12)
 
-    def test_streamed_rows_match_stored_factors(self, fig1_params, exp_kernel):
+    def test_rows_match_dense_transposed_solves(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10, 12)
         inc = integrated_increments(exp_kernel, fig1_params, grid)
-        factors = build_curvature_factors(inc, fig1_params, grid)
-        streamed = response_rows(inc, fig1_params, grid)
-        stored = response_rows(inc, fig1_params, grid, factors)
-        assert np.array_equal(streamed, stored)
+        W = response_rows(inc, fig1_params, grid)
+        assert np.allclose(W, dense_response_rows(inc, fig1_params, grid),
+                           rtol=1e-12, atol=1e-13)
+        assert np.all(W[12] == 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 64), varrho=st.floats(0.0, 10.0),
+           lam=st.floats(0.05, 5.0), T=st.floats(0.5, 20.0))
+    def test_rows_match_dense_reference_property(self, data, n, varrho, lam, T):
+        params = ScenarioParams(q=10, T=T, lam=lam, varrho=varrho)
+        grid = TimeGrid.uniform(T, n)
+        kernel = data.draw(admissible_kernels(grid))
+        inc = integrated_increments(kernel, params, grid)
+        W = response_rows(inc, params, grid)
+        ref = dense_response_rows(inc, params, grid)
+        for i in range(n + 1):
+            scale = np.max(np.abs(ref[i]))
+            assert np.max(np.abs(W[i] - ref[i])) <= 1e-10 * scale, (kernel, i)
+
+    def test_singular_leading_section_names_step(self):
+        # 2 lam = 1 and cells (1, 4): the 2x2 section [[2, 4], [1, 2]] is singular
+        inc = increments_from_cells([1.0, 4.0, 0.5])
+        params = ScenarioParams(q=1, T=3, lam=0.5)
+        grid = TimeGrid.uniform(3, 3)
+        with pytest.raises(NumericError, match="step 1 "):
+            response_rows(inc, params, grid)
 
 
 class TestFeedbackMatrix:
@@ -144,15 +207,13 @@ class TestFeedbackMatrix:
         params = ScenarioParams(q=10, T=10, lam=0.5, varrho=0)
         grid = TimeGrid.uniform(10, 6)
         inc = integrated_increments(ZeroKernel(), params, grid)
-        factors = build_curvature_factors(inc, params, grid)
-        B = build_feedback_matrix(inc, params, grid, factors)
+        B = build_feedback_matrix(inc, params, grid)
         assert np.all(B == 0.0)
 
     def test_strictly_lower_triangular(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10, 10)
         inc = integrated_increments(exp_kernel, fig1_params, grid)
-        factors = build_curvature_factors(inc, fig1_params, grid)
-        B = build_feedback_matrix(inc, fig1_params, grid, factors)
+        B = build_feedback_matrix(inc, fig1_params, grid)
         assert np.all(np.triu(B) == 0.0)
         assert np.any(B != 0.0)
 
@@ -161,8 +222,7 @@ class TestFeedbackMatrix:
         params = ScenarioParams(q=10, T=4, lam=0.5, varrho=4)
         grid = TimeGrid.uniform(4, 4)
         inc = integrated_increments(ZeroKernel(), params, grid)
-        factors = build_curvature_factors(inc, params, grid)
-        B = build_feedback_matrix(inc, params, grid, factors)
+        B = build_feedback_matrix(inc, params, grid)
         for i in range(5):
             D = dense_curvature(inc, params, grid, i)
             for j in range(i):
@@ -176,8 +236,7 @@ class TestSourceVector:
         params = ScenarioParams(q=10, T=10, lam=0.5, varrho=0)
         grid = TimeGrid.uniform(10, 6)
         inc = integrated_increments(ZeroKernel(), params, grid)
-        factors = build_curvature_factors(inc, params, grid)
-        a = build_source_vector(inc, params, grid, np.zeros((7, 7)), factors)
+        a = build_source_vector(inc, params, grid, np.zeros((7, 7)))
         assert np.all(a == 0.0)
 
     def test_terminal_penalty_hand_values(self, fig1_params):
@@ -186,28 +245,25 @@ class TestSourceVector:
         # closed form varrho q / (lam + varrho T)
         grid = TimeGrid.uniform(10, 10)
         inc = integrated_increments(ZeroKernel(), fig1_params, grid)
-        factors = build_curvature_factors(inc, fig1_params, grid)
-        a = build_source_vector(inc, fig1_params, grid, np.zeros((11, 11)), factors)
+        a = build_source_vector(inc, fig1_params, grid, np.zeros((11, 11)))
         assert a[-1] == pytest.approx(80.0, rel=1e-13)
         assert a[0] == pytest.approx(80.0 / 81.0, rel=1e-12)
 
     def test_positive_signal_lowers_initial_speed(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10, 16)
         inc = integrated_increments(exp_kernel, fig1_params, grid)
-        factors = build_curvature_factors(inc, fig1_params, grid)
         sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.0)
         N = forecast_matrix(sig, simulate_signal(sig, grid, 0), grid)
-        with_sig = build_source_vector(inc, fig1_params, grid, N, factors)
-        without = build_source_vector(inc, fig1_params, grid, np.zeros_like(N), factors)
+        with_sig = build_source_vector(inc, fig1_params, grid, N)
+        without = build_source_vector(inc, fig1_params, grid, np.zeros_like(N))
         assert N[0, 0] < 0.0
         assert with_sig[0] < without[0]
 
     def test_forecast_shape_checked(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10, 6)
         inc = integrated_increments(exp_kernel, fig1_params, grid)
-        factors = build_curvature_factors(inc, fig1_params, grid)
         with pytest.raises(InputError):
-            build_source_vector(inc, fig1_params, grid, np.zeros((6, 6)), factors)
+            build_source_vector(inc, fig1_params, grid, np.zeros((6, 6)))
 
 
 class TestSolveSpeed:
@@ -243,10 +299,9 @@ class TestScenario:
         grid = TimeGrid.uniform(10, 32)
         sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.0)
         inc = integrated_increments(exp_kernel, fig1_params, grid)
-        factors = build_curvature_factors(inc, fig1_params, grid)
         N = forecast_matrix(sig, simulate_signal(sig, grid, 0), grid)
-        B = build_feedback_matrix(inc, fig1_params, grid, factors)
-        a = build_source_vector(inc, fig1_params, grid, N, factors)
+        B = build_feedback_matrix(inc, fig1_params, grid)
+        a = build_source_vector(inc, fig1_params, grid, N)
         composed = solve_speed(a, B)
         pipeline = solve_scenario(fig1_params, exp_kernel, sig, grid).u
         assert np.allclose(composed, pipeline, rtol=1e-12, atol=1e-13)
