@@ -8,13 +8,18 @@ G~(t, s) = 2*varrho*1_{s<t} + G(t, s) over grid cells:
     L[k, j] = integral of G~(t_k, s) over [t_j, t_{j+1}],   j <= k-1,
     U[k, j] = integral of G~(s, t_k) over [t_j, t_{j+1}],   k <= j <= n-1.
 
-For a convolution kernel both reduce to one family of cell integrals of H,
-which is closed-form for the zero, exponential and fractional kernels and is
-evaluated by composite Gauss-Legendre quadrature otherwise.
+For a convolution kernel on a uniform grid both are Toeplitz and generated by
+one vector: the cell integrals cell[m] of H over [m*dt, (m+1)*dt] plus the
+penalty summand 2*varrho*dt. ``IntegratedIncrements`` stores that vector; the
+dense L, U and LG are built only on demand, for the quadratic-program oracle
+and the tests. The cell integrals are closed-form for the zero, exponential
+and fractional kernels and come from adaptive composite Gauss-Legendre
+quadrature otherwise, all cells in one vectorised pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,8 +59,12 @@ class PropagatorKernel:
 
     # Closed-form hooks; None means "fall back to quadrature".
 
-    def cell_integral(self, a: float, b: float) -> float | None:
-        """Exact integral of the resilience function over [a, b], if known."""
+    def cell_integral(self, a, b):
+        """Exact integrals of the resilience function over [a, b], if known.
+
+        ``a`` and ``b`` are arrays of interval ends; returns an array of the
+        same shape, or None.
+        """
         return None
 
     def gram_diag(self, dt: float) -> float | None:
@@ -79,7 +88,7 @@ class ZeroKernel(PropagatorKernel):
         return np.zeros_like(np.asarray(tau, dtype=float))
 
     def cell_integral(self, a, b):
-        return 0.0
+        return np.zeros(np.shape(a))
 
     def gram_diag(self, dt):
         return 0.0
@@ -107,7 +116,7 @@ class ExponentialKernel(PropagatorKernel):
 
     def cell_integral(self, a, b):
         r = self.rho
-        return self.c * (math.exp(-r * a) - math.exp(-r * b)) / r
+        return self.c * (np.exp(-r * a) - np.exp(-r * b)) / r
 
     def gram_diag(self, dt):
         r = self.rho
@@ -242,106 +251,155 @@ class TabulatedKernel(PropagatorKernel):
 # ---------------------------------------------------------------------------
 # quadrature fallback
 
-def _gauss_cell(f, a, b):
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    x = mid + half * _GL_NODES
-    return half * float(f(x) @ _GL_WEIGHTS)
+# bisections a cell may take before the quadrature gives up on it
+_MAX_BISECTIONS = 12
+
+
+def _gauss(f, lo, hi):
+    """16-node Gauss-Legendre on every interval [lo[i], hi[i]] at once."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return half * (f(mid[:, None] + half[:, None] * _GL_NODES) @ _GL_WEIGHTS)
 
 
 def _split_at_knots(a, b, knots):
+    """Pieces of each [a[i], b[i]] between the knots inside it, and their owner i."""
+    owner = np.arange(a.size)
     if knots is None:
-        return [(a, b)]
-    inner = knots[(knots > a) & (knots < b)]
-    pts = np.concatenate(([a], inner, [b]))
-    return list(zip(pts[:-1], pts[1:]))
+        return a, b, owner
+    first = np.searchsorted(knots, a, side="right")
+    inner = np.maximum(np.searchsorted(knots, b, side="left") - first, 0)
+    sizes = inner + 1
+    owner = np.repeat(owner, sizes)
+    pos = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    knot = first[owner] + pos  # piece pos runs from knots[knot - 1] to knots[knot]
+    last = knots.size - 1
+    lo = np.where(pos == 0, a[owner], knots[np.clip(knot - 1, 0, last)])
+    hi = np.where(pos == inner[owner], b[owner], knots[np.clip(knot, 0, last)])
+    return lo, hi, owner
 
 
 def quad_integral(f, a, b, knots=None, rel_tol=1e-10):
-    """Composite 16-node Gauss-Legendre with one refinement check.
+    """Adaptive composite 16-node Gauss-Legendre on each interval [a, b].
 
-    Raises NumericError when halving the cells still moves the value by more
-    than ``rel_tol`` relatively: the integrand is not smooth enough for this
-    rule and needs a closed form instead.
+    ``a`` and ``b`` are scalars or arrays of interval ends; ``f`` must accept
+    a 2-d array of nodes. Each interval is split at the knots inside it and
+    integrated on those pieces and on their halves. An interval where the two
+    differ by more than ``rel_tol`` relatively (plus a 1e-14*(b-a) floor) is
+    bisected, and each half is checked by the same rule. Raises NumericError
+    naming the interval if it still fails after ``_MAX_BISECTIONS`` halvings:
+    the integrand is not smooth enough for this rule and needs a closed form.
     """
-    if b <= a:
-        return 0.0
-    pieces = _split_at_knots(a, b, knots)
-    coarse = sum(_gauss_cell(f, lo, hi) for lo, hi in pieces)
-    fine = 0.0
-    for lo, hi in pieces:
-        mid = 0.5 * (lo + hi)
-        fine += _gauss_cell(f, lo, mid) + _gauss_cell(f, mid, hi)
-    scale = max(abs(coarse), abs(fine))
-    if abs(fine - coarse) > rel_tol * scale + 1e-14 * (b - a):
-        raise NumericError(
-            f"cell quadrature did not converge on [{a}, {b}]: "
-            f"{coarse} vs {fine} after refinement"
-        )
-    return fine
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    shape = a.shape
+    a, b = a.ravel(), b.ravel()
+    out = np.zeros(a.size)
+    cell = np.flatnonzero(b > a)  # the interval each active piece belongs to
+    lo, hi = a[cell], b[cell]
+    for depth in range(_MAX_BISECTIONS + 1):
+        piece_lo, piece_hi, owner = _split_at_knots(lo, hi, knots)
+        piece_mid = 0.5 * (piece_lo + piece_hi)
+        coarse = np.bincount(owner, _gauss(f, piece_lo, piece_hi), minlength=lo.size)
+        fine = np.bincount(owner, _gauss(f, piece_lo, piece_mid) + _gauss(f, piece_mid, piece_hi),
+                           minlength=lo.size)
+        tol = rel_tol * np.maximum(np.abs(coarse), np.abs(fine)) + 1e-14 * (hi - lo)
+        bad = np.abs(fine - coarse) > tol
+        np.add.at(out, cell[~bad], fine[~bad])
+        if not bad.any():
+            break
+        if depth == _MAX_BISECTIONS:
+            worst = cell[bad][0]
+            raise NumericError(
+                f"cell quadrature did not converge on [{a[worst]}, {b[worst]}] "
+                f"after {_MAX_BISECTIONS} bisections"
+            )
+        mid = 0.5 * (lo[bad] + hi[bad])
+        lo, hi = np.concatenate((lo[bad], mid)), np.concatenate((mid, hi[bad]))
+        cell = np.concatenate((cell[bad], cell[bad]))
+    return out.reshape(shape) if shape else float(out[0])
 
 
 # ---------------------------------------------------------------------------
 # integrated increments
 
+def lower_toeplitz(diagonals: np.ndarray) -> np.ndarray:
+    """(n+1, n+1) strictly lower Toeplitz matrix with diagonals[m] on sub-diagonal m+1."""
+    first_col = np.concatenate(([0.0], diagonals))
+    return scipy.linalg.toeplitz(first_col, np.zeros(first_col.size))
+
+
 @dataclass(frozen=True, eq=False)
 class IntegratedIncrements:
-    """Cell integrals of the augmented kernel on a uniform grid.
+    """Cell integrals of the augmented kernel on a uniform grid, as one generator.
 
-    L   (n+1, n+1), support j <= k-1: cell integrals of G~(t_k, .)
-    U   (n+1, n+1), support k <= j <= n-1: cell integrals of G~(., t_k)
+    cell  (n,), cell[m] = integral of the resilience function over
+          [m*dt, (m+1)*dt]; with aug = 2*varrho*dt, the entries of L and U
+          at distance m from the diagonal are cell[m] + aug
+
+    The dense (n+1, n+1) matrices are views built on first access, for the
+    quadratic-program oracle, the tests and ``dense_curvature``; the solver
+    reads only the generator:
+
+    L   support j <= k-1: cell integrals of G~(t_k, .)
+    U   support k <= j <= n-1: cell integrals of G~(., t_k)
     LG  L with the 2*varrho*dt penalty summand removed (pure propagator),
         the weights used to roll the transient distortion forward
     """
 
-    L: np.ndarray
-    U: np.ndarray
-    LG: np.ndarray
+    cell: np.ndarray
     dt: float
     varrho: float
+
+    @property
+    def n(self) -> int:
+        return self.cell.size
+
+    @property
+    def aug(self) -> float:
+        return 2.0 * self.varrho * self.dt
+
+    @functools.cached_property
+    def L(self) -> np.ndarray:
+        return lower_toeplitz(self.cell + self.aug)
+
+    @functools.cached_property
+    def LG(self) -> np.ndarray:
+        return lower_toeplitz(self.cell)
+
+    @functools.cached_property
+    def U(self) -> np.ndarray:
+        # U[k, j] = L[j + 1, k] for j < n, and column n is zero
+        U = np.zeros((self.n + 1, self.n + 1))
+        U[:, :-1] = lower_toeplitz(self.cell + self.aug).T[:, 1:]
+        return U
 
 
 def _cell_values(kernel: PropagatorKernel, dt: float, n: int, method: str) -> np.ndarray:
     """Integrals of the resilience function over [(m-1)dt, m*dt], m = 1..n."""
     if method not in ("auto", "closed", "quadrature"):
         raise InputError(f"unknown increments method {method!r}")
-    use_closed = method != "quadrature" and kernel.cell_integral(0.0, dt) is not None
-    if method == "closed" and not use_closed:
-        raise InputError(f"{type(kernel).__name__} has no closed-form cell integrals")
-    out = np.empty(n)
-    if use_closed:
-        for m in range(1, n + 1):
-            out[m - 1] = kernel.cell_integral((m - 1) * dt, m * dt)
-    else:
-        knots = kernel.quadrature_knots()
-        for m in range(1, n + 1):
-            out[m - 1] = quad_integral(kernel.decay, (m - 1) * dt, m * dt, knots=knots)
-    return out
+    edges = np.arange(n + 1) * dt
+    out = None if method == "quadrature" else kernel.cell_integral(edges[:-1], edges[1:])
+    if out is None:
+        if method == "closed":
+            raise InputError(f"{type(kernel).__name__} has no closed-form cell integrals")
+        out = quad_integral(kernel.decay, edges[:-1], edges[1:],
+                            knots=kernel.quadrature_knots())
+    return np.asarray(out, dtype=float)
 
 
 def integrated_increments(kernel: PropagatorKernel, params: ScenarioParams,
                           grid: TimeGrid, method: str = "auto") -> IntegratedIncrements:
-    """Assemble the L, U and LG matrices for one kernel on one grid.
+    """Cell-integral generator of L, U and LG for one kernel on one grid.
 
     ``method`` selects the cell-integral route: "auto" uses closed forms
     where the kernel provides them, "quadrature" forces the Gauss-Legendre
     fallback (used by the cross-validation tests).
     """
-    n, dt = grid.n, grid.dt
-    cell = _cell_values(kernel, dt, n, method)
-    aug = 2.0 * params.varrho * dt
-
-    idx = np.arange(n + 1)
-    off = idx[:, None] - idx[None, :]  # off[k, j] = k - j
-
-    lower = off >= 1
-    upper = (off <= 0) & (idx[None, :] <= n - 1)
-
-    LG = np.where(lower, cell[np.clip(off, 1, n) - 1], 0.0)
-    L = np.where(lower, LG + aug, 0.0)
-    U = np.where(upper, cell[np.clip(-off, 0, n - 1)] + aug, 0.0)
-    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(U))):
+    cell = _cell_values(kernel, grid.dt, grid.n, method)
+    inc = IntegratedIncrements(cell=cell, dt=grid.dt, varrho=params.varrho)
+    if not np.all(np.isfinite(cell + inc.aug)):
         raise NumericError("non-finite integrated increments")
-    return IntegratedIncrements(L=L, U=U, LG=LG, dt=dt, varrho=params.varrho)
+    return inc
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericError
 
 __all__ = [
     "ScenarioParams",
@@ -94,6 +94,8 @@ class TimeGrid:
     t: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise InputError(f"grid needs an integer number of steps, got n={self.n!r}")
         if self.n < 2:
             raise InputError(f"grid needs at least 2 steps, got n={self.n}")
         require_finite(self, "T")
@@ -168,7 +170,8 @@ def rollout(u: np.ndarray, params: ScenarioParams, grid: TimeGrid, kernel,
     """Roll a speed vector forward: inventory and transient distortion.
 
     Z_k = h0(t_k) + sum_{j<k} (integral of the kernel over cell j at t_k) u_j,
-    using the exact cell integrals of the pure propagator.
+    using the exact cell integrals of the pure propagator. On the uniform
+    grid that integral is cell[k-1-j], so the sum is one causal convolution.
     """
     from .kernels import integrated_increments
 
@@ -179,7 +182,8 @@ def rollout(u: np.ndarray, params: ScenarioParams, grid: TimeGrid, kernel,
 
     inc = integrated_increments(kernel, params, grid)
     Q = inventory_path(u, params.q, grid.dt)
-    Z = params.h0_values(grid) + inc.LG @ u
+    Z = params.h0_values(grid)
+    Z[1:] += np.convolve(inc.cell, u[:-1])[:grid.n]
     I = np.zeros(grid.n + 1) if signal_values is None else np.asarray(signal_values, float)
     if I.shape != (grid.n + 1,):
         raise InputError(f"signal path has shape {I.shape}, expected ({grid.n + 1},)")
@@ -205,5 +209,9 @@ def evaluate_objective(path: StrategyPath, params: ScenarioParams, grid: TimeGri
     temporary = params.lam * dt * float(u[:n] @ u[:n])
     transient = dt * float(Z[:n] @ u[:n])
     running = params.phi * dt * float(Q[:n] @ Q[:n])
-    terminal = params.varrho * float(Q[n]) ** 2
-    return ObjectiveBreakdown.from_parts(revenue, temporary, transient, running, terminal)
+    q_end = float(Q[n])
+    terminal = params.varrho * (q_end * q_end)
+    parts = (revenue, temporary, transient, running, terminal)
+    if not all(map(math.isfinite, parts)):
+        raise NumericError("non-finite objective: the strategy overflows double precision")
+    return ObjectiveBreakdown.from_parts(*parts)

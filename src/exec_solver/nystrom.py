@@ -31,7 +31,12 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, NumericError
-from .kernels import IntegratedIncrements, PropagatorKernel, integrated_increments
+from .kernels import (
+    IntegratedIncrements,
+    PropagatorKernel,
+    integrated_increments,
+    lower_toeplitz,
+)
 from .model import ScenarioParams, StrategyPath, TimeGrid, evaluate_objective, rollout
 from .signals import SignalModel, forecast_matrix, price_path, simulate_signal
 
@@ -104,8 +109,8 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
     _require_phi_zero(params)
     n = grid.n
     two_lam = 2.0 * params.lam
-    col = inc.L[:n, 0] + inc.U[:n, 0]  # first column of A - 2*lam*I
-    row = inc.L[0, :n] + inc.U[0, :n]  # first row of A - 2*lam*I
+    row = inc.cell + inc.aug  # first row of A - 2*lam*I
+    col = np.concatenate((row[:1], row[:-1]))  # its first column
     W = np.zeros((n + 1, n))
 
     diag = two_lam + col[0]
@@ -133,8 +138,13 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
 
 def _feedback_from_rows(W: np.ndarray, inc: IntegratedIncrements, lam: float) -> np.ndarray:
     n = W.shape[1]
-    full = (W @ inc.L[:n, :] - inc.L) / (2.0 * lam)
-    return np.tril(full, k=-1)
+    L = lower_toeplitz(inc.cell + inc.aug)
+    B = W @ L[:n, :]
+    B -= L
+    B /= 2.0 * lam
+    for i in range(n + 1):
+        B[i, i:] = 0.0
+    return B
 
 
 def _source_from_rows(W: np.ndarray, inc: IntegratedIncrements, lam: float,
@@ -201,10 +211,21 @@ class NystromEngine:
         return _source_from_rows(self.W, self.inc, self.params.lam,
                                  self.h_tilde, forecasts)
 
+    def _speeds(self, sources: np.ndarray) -> np.ndarray:
+        if not np.all(np.isfinite(sources)):
+            raise NumericError("non-finite source vector: the scenario overflows "
+                               "double precision")
+        u = scipy.linalg.solve_triangular(self._system, sources, lower=True,
+                                          unit_diagonal=True, check_finite=False)
+        if not np.all(np.isfinite(u)):
+            raise NumericError("non-finite optimal speeds: the scenario overflows "
+                               "double precision")
+        return u
+
     def speed_for_path(self, signal_path: np.ndarray, with_source: bool = False):
         forecasts = forecast_matrix(self.signal, signal_path, self.grid)
         a = self.source_vector(forecasts)
-        u = scipy.linalg.solve_triangular(self._system, a, lower=True, unit_diagonal=True)
+        u = self._speeds(a)
         if with_source:
             return u, a, np.diag(forecasts).copy()
         return u
@@ -215,9 +236,7 @@ class NystromEngine:
             self.source_vector(forecast_matrix(self.signal, p, self.grid))
             for p in signal_paths
         ])
-        return scipy.linalg.solve_triangular(
-            self._system, sources.T, lower=True, unit_diagonal=True
-        ).T
+        return self._speeds(sources.T).T
 
 
 @dataclass(eq=False)

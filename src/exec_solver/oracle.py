@@ -217,6 +217,9 @@ def mc_objective(params: ScenarioParams, kernel: PropagatorKernel,
     samples = _batch_objective(us, paths, params, grid, inc)
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
+    if not (np.isfinite(mean) and np.isfinite(stderr)):
+        raise NumericError("non-finite Monte Carlo objective: the scenario overflows "
+                           "double precision")
     return McEstimate(mean=mean, stderr=stderr, n_paths=n_paths, seed=seed,
                       samples=samples)
 

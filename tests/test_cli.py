@@ -265,6 +265,36 @@ class TestMain:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("mode, key, value, stage", [
+        ("solve", "signal.sigma", "1e300", "objective"),
+        ("solve", "signal.I0", "1e308", "source vector"),
+        ("solve", "scenario.q", "1e308", "source vector"),
+        ("mc", "scenario.q", "1e308", "source vector"),
+        ("solve", "scenario.lambda", "1e-320", "source vector"),
+        ("mc", "signal.sigma", "1e300", "objective"),
+    ], ids=["sigma", "I0", "q", "q-mc", "lambda", "sigma-mc"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_overflowing_scenario_exits_3(self, tmp_path, capsys, mode, key, value, stage):
+        # finite inputs whose solution overflows double precision
+        text = SOLVE_CFG.format(out=tmp_path / "o").replace("mode = solve", f"mode = {mode}")
+        text = "\n".join(line for line in text.splitlines() if not line.startswith(key))
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(f"{text}\nmc.n_paths = 4\n{key} = {value}\n")
+        assert main(["--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error:") and stage in err
+
+    def test_coarse_bounded_power_law_cells_solve(self, tmp_path):
+        # cells six times wider than ell0 need the quadrature to bisect them
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text(f"mode = solve\noutput_dir = {tmp_path / 'o'}\ngrid.n = 2\n"
+                       "scenario.T = 6\nkernel.type = bounded_power_law\n"
+                       "kernel.ell0 = 0.5\nkernel.beta = 2\n")
+        assert main(["--config", str(cfg)]) == 0
+        _, rows = read_csv(tmp_path / "o" / "path.csv")
+        assert len(rows) == 3 and np.all(np.isfinite(np.array(rows, dtype=float)))
+
     def test_numeric_error_exits_3(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text(SOLVE_CFG.format(out=tmp_path / "o"))

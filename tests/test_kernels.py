@@ -18,6 +18,7 @@ from exec_solver import (
     check_nonnegative_definite,
     integrated_increments,
 )
+from exec_solver.kernels import _cell_values, quad_integral
 
 ALL_DECAYING = [
     ExponentialKernel(1.0, 0.5),
@@ -243,6 +244,34 @@ class TestIntegratedIncrements:
                 m = k - j
                 trap = 0.5 * grid.dt * (values[m - 1] + values[m])
                 assert inc.L[k, j] == pytest.approx(trap, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 64])
+    def test_vectorised_cells_match_per_cell_loop(self, n):
+        grid = TimeGrid.uniform(6.0, n)
+        dt = grid.dt
+        # table knots off the grid, several inside each cell at small n
+        times = np.concatenate(([0.0], np.sort(np.random.default_rng(n).uniform(0.0, 7.0, 40))))
+        closed = [ZeroKernel(), ExponentialKernel(1.3, 0.5), FractionalKernel(0.8, 0.6)]
+        quadrature = [BoundedPowerLawKernel(0.5, 2.0), BoundedPowerLawKernel(2.0, 0.3),
+                      TabulatedKernel.from_grid_values(grid, np.exp(-0.4 * grid.t)),
+                      TabulatedKernel(times=times, values=np.exp(-times) + 0.1 * np.sin(times))]
+        for kernel, rtol in [(k, 1e-13) for k in closed] + [(k, 1e-12) for k in quadrature]:
+            got = _cell_values(kernel, dt, n, "auto")
+            loop = np.empty(n)
+            for m in range(n):
+                a, b = m * dt, (m + 1) * dt
+                value = kernel.cell_integral(a, b)
+                if value is None:
+                    value = quad_integral(kernel.decay, a, b, knots=kernel.quadrature_knots())
+                loop[m] = value
+            np.testing.assert_allclose(got, loop, rtol=rtol, atol=0, err_msg=repr(kernel))
+
+    def test_coarse_bounded_power_law_cell_bisected(self):
+        # dt / ell0 = 6 fails the single halving check; bisection recovers the value
+        ell0, beta = 0.5, 2.0
+        want = ell0 * (ell0 ** (1 - beta) - (ell0 + 3.0) ** (1 - beta)) / (beta - 1)
+        got = quad_integral(BoundedPowerLawKernel(ell0, beta).decay, 0.0, 3.0)
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_fractional_quadrature_refuses_singular_cell(self):
         params = ScenarioParams(q=1, T=2, lam=1, varrho=0)

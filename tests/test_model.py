@@ -5,12 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exec_solver import (
+    BoundedPowerLawKernel,
     ExponentialKernel,
+    FractionalKernel,
     InputError,
     ScenarioParams,
+    TabulatedKernel,
     TimeGrid,
     ZeroKernel,
     evaluate_objective,
+    integrated_increments,
     rollout,
 )
 
@@ -70,6 +74,15 @@ class TestTimeGrid:
         with pytest.raises(InputError):
             TimeGrid.uniform(1.0, 1)
 
+    @pytest.mark.parametrize("n", [5.0, "5", True, np.float64(5.0)],
+                             ids=["float", "str", "bool", "numpy-float"])
+    def test_non_integer_steps(self, n):
+        with pytest.raises(InputError, match="integer"):
+            TimeGrid(n=n, T=1.0)
+
+    def test_numpy_integer_steps(self):
+        assert TimeGrid(n=np.int64(5), T=1.0).n == 5
+
     def test_non_finite_horizon(self):
         for T in (np.inf, np.nan):
             with pytest.raises(InputError, match="finite"):
@@ -110,6 +123,20 @@ class TestRollout:
         assert err < 1e-12
         assert path.Z[2] == pytest.approx(oracle, abs=1e-10)
         assert path.Z[2] == pytest.approx(1.2642411176571153, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 64])
+    def test_distortion_matches_dense_propagator(self, n, rng):
+        grid = TimeGrid.uniform(5.0, n)
+        params = ScenarioParams(q=2, T=5, lam=1, varrho=3, h0=rng.normal(size=n + 1))
+        table = TabulatedKernel.from_grid_values(grid, np.exp(-0.4 * grid.t))
+        for kernel in (ExponentialKernel(1.0, 0.5), FractionalKernel(1.0, 0.7),
+                       BoundedPowerLawKernel(0.3, 1.5), table):
+            u = rng.normal(size=n + 1)
+            inc = integrated_increments(kernel, params, grid)
+            Z = rollout(u, params, grid, kernel).Z
+            want = params.h0 + inc.LG @ u
+            scale = np.abs(params.h0) + np.abs(inc.LG) @ np.abs(u)
+            assert np.all(np.abs(Z - want) <= 1e-13 * scale)
 
     def test_zero_kernel_returns_h0(self, rng):
         grid = TimeGrid.uniform(5.0, 12)

@@ -22,6 +22,7 @@ from exec_solver import (
     integrated_increments,
     rollout,
     solve_scenario,
+    solve_scenario_detail,
     solve_speed,
 )
 from exec_solver.nystrom import response_rows
@@ -51,12 +52,17 @@ def dense_response_rows(inc, params, grid):
 
 def increments_from_cells(cell, dt=1.0):
     """Increments of a convolution kernel with the given cell integrals, varrho = 0."""
-    cell = np.asarray(cell, dtype=float)
-    n = cell.size
+    return IntegratedIncrements(cell=np.asarray(cell, dtype=float), dt=dt, varrho=0.0)
+
+
+def dense_increments_reference(inc):
+    """L, U and LG assembled entry by entry from the index pattern of the generator."""
+    cell, n = inc.cell, inc.n
     k, j = np.indices((n + 1, n + 1))
-    L = np.where(k > j, cell[np.clip(k - j - 1, 0, n - 1)], 0.0)
-    U = np.where((j >= k) & (j < n), cell[np.clip(j - k, 0, n - 1)], 0.0)
-    return IntegratedIncrements(L=L, U=U, LG=L, dt=dt, varrho=0.0)
+    LG = np.where(k > j, cell[np.clip(k - j - 1, 0, n - 1)], 0.0)
+    L = np.where(k > j, LG + inc.aug, 0.0)
+    U = np.where((j >= k) & (j < n), cell[np.clip(j - k, 0, n - 1)] + inc.aug, 0.0)
+    return L, U, LG
 
 
 @st.composite
@@ -69,13 +75,45 @@ def admissible_kernels(draw, grid):
     if kind == "fractional":
         return FractionalKernel(c=draw(scale), alpha=draw(st.floats(0.51, 0.99)))
     if kind == "bounded_power_law":
-        # ell0 at least one cell wide: the quadrature fallback refuses sharper cells
-        ell0 = grid.dt * draw(st.floats(1.0, 10.0))
+        # ell0 down to a twentieth of a cell: the quadrature bisects the sharp first cell
+        ell0 = grid.dt * draw(st.floats(0.05, 10.0))
         return BoundedPowerLawKernel(ell0=ell0, beta=draw(st.floats(0.1, 2.0)))
     # a positive mixture of exponentials: nonnegative, decreasing and convex
     terms = draw(st.lists(st.tuples(pos, pos), min_size=1, max_size=3))
     values = sum(c * np.exp(-rho * grid.t) for c, rho in terms)
     return TabulatedKernel.from_grid_values(grid, values)
+
+
+class TestIncrementGenerator:
+    @pytest.mark.parametrize("n", [2, 3, 16])
+    def test_dense_views_match_index_pattern(self, n):
+        params = ScenarioParams(q=10, T=10, lam=0.5, varrho=1.5)
+        grid = TimeGrid.uniform(10, n)
+        for kernel in (ZeroKernel(), ExponentialKernel(1.0, 0.5), FractionalKernel(1.0, 0.55),
+                       BoundedPowerLawKernel(0.5, 2.0)):
+            inc = integrated_increments(kernel, params, grid)
+            L, U, LG = dense_increments_reference(inc)
+            assert np.array_equal(inc.L, L)
+            assert np.array_equal(inc.U, U)
+            assert np.array_equal(inc.LG, LG)
+
+    def test_solve_path_builds_no_dense_views(self, monkeypatch, fig1_params, exp_kernel):
+        import exec_solver.kernels as kernels_mod
+        import exec_solver.nystrom as nystrom_mod
+
+        built = []
+
+        def recording(*args, **kwargs):
+            built.append(integrated_increments(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(kernels_mod, "integrated_increments", recording)
+        monkeypatch.setattr(nystrom_mod, "integrated_increments", recording)
+        signal = OUSignal(I0=1.0, gamma=0.3, sigma=0.5)
+        solve_scenario_detail(fig1_params, exp_kernel, signal, TimeGrid.uniform(10, 32), seed=3)
+        assert built
+        for inc in built:
+            assert not {"L", "U", "LG"} & set(vars(inc))
 
 
 class TestCurvature:
