@@ -14,7 +14,8 @@ this becomes a unit lower-triangular system solved by forward substitution:
        and O(n) memory besides the rows,
     3. feedback matrix  B[i, j] = (w_i . L_col_j - L[i, j]) / (2*lam) on the
        strict lower triangle, and source vector
-       a_i = (N[i, i] - h~_i - w_i . N_col_i + w_i . h~) / (2*lam),
+       a_i = (N[i, i] - w_i . N_col_i) / (2*lam) + (w_i . h~ - h~_i) / (2*lam),
+       whose second part does not depend on the signal,
     4. u = (I - B)^{-1} a by forward substitution.
 
 The scheme requires a zero running inventory penalty (phi = 0); scenarios
@@ -82,6 +83,9 @@ def dense_curvature(inc: IntegratedIncrements, params: ScenarioParams,
 # leading section it completes is singular to working precision
 _PIVOT_FLOOR = 1e3 * np.finfo(float).eps
 
+# LAPACK triangular solve; scipy's solve_triangular wrapper costs more than it
+_trtrs = scipy.linalg.get_lapack_funcs("trtrs", dtype=np.float64)
+
 
 def _check_pivot(pivot: float, scale: float, step: int):
     if not (math.isfinite(pivot) and abs(pivot) > _PIVOT_FLOOR * scale):
@@ -137,21 +141,27 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
 
 
 def _feedback_from_rows(W: np.ndarray, inc: IntegratedIncrements, lam: float) -> np.ndarray:
+    """B in column-major order, the layout LAPACK takes without a copy."""
     n = W.shape[1]
     L = lower_toeplitz(inc.cell + inc.aug)
-    B = W @ L[:n, :]
+    B = (L[:n, :].T @ W.T).T
     B -= L
     B /= 2.0 * lam
-    for i in range(n + 1):
-        B[i, i:] = 0.0
+    for j in range(n + 1):
+        B[:j + 1, j] = 0.0
     return B
 
 
-def _source_from_rows(W: np.ndarray, inc: IntegratedIncrements, lam: float,
-                      h_tilde: np.ndarray, forecasts: np.ndarray) -> np.ndarray:
-    n = W.shape[1]
-    cross = np.einsum("ik,ki->i", W, forecasts[:n, :])
-    return (np.diag(forecasts) - h_tilde - cross + W @ h_tilde[:n]) / (2.0 * lam)
+def _source_offset(W: np.ndarray, params: ScenarioParams, grid: TimeGrid) -> np.ndarray:
+    """The part of the source vector that does not depend on the signal."""
+    h_tilde = params.h0_values(grid) - 2.0 * params.varrho * params.q
+    return (W @ h_tilde[:grid.n] - h_tilde) / (2.0 * params.lam)
+
+
+def _source_from_rows(W: np.ndarray, lam: float, offset: np.ndarray,
+                      forecasts: np.ndarray) -> np.ndarray:
+    cross = np.einsum("ik,ki->i", W, forecasts[:W.shape[1], :])
+    return (np.diag(forecasts) - cross) / (2.0 * lam) + offset
 
 
 def build_feedback_matrix(inc: IntegratedIncrements, params: ScenarioParams,
@@ -170,9 +180,8 @@ def build_source_vector(inc: IntegratedIncrements, params: ScenarioParams,
             f"forecast matrix has shape {forecasts.shape}, "
             f"expected ({grid.n + 1}, {grid.n + 1})"
         )
-    h_tilde = params.h0_values(grid) - 2.0 * params.varrho * params.q
     W = response_rows(inc, params, grid)
-    return _source_from_rows(W, inc, params.lam, h_tilde, forecasts)
+    return _source_from_rows(W, params.lam, _source_offset(W, params, grid), forecasts)
 
 
 def solve_speed(a: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -188,10 +197,12 @@ def solve_speed(a: np.ndarray, B: np.ndarray) -> np.ndarray:
 class NystromEngine:
     """Signal-independent precomputation for repeated solves on one scenario.
 
-    Runs the response-row recursion once, keeps the response rows and the
-    feedback matrix, and turns each realized signal path into an
-    optimal speed vector with O(n^2) work. Used by the Monte Carlo engine,
-    where only the source vector changes from path to path.
+    Builds once the response rows W, the signal-free offset
+    (W h~ - h~) / (2*lam) of the source vector and the system I - B in
+    column-major order. A realized path then costs one forecast matrix, one
+    contraction with W and one LAPACK forward substitution: O(n^2) work.
+    Used by the Monte Carlo engine, where only the source vector changes
+    from path to path.
     """
 
     def __init__(self, params: ScenarioParams, kernel: PropagatorKernel,
@@ -202,21 +213,22 @@ class NystromEngine:
         self.grid = grid
         self.signal = signal
         self.inc = integrated_increments(kernel, params, grid)
-        self.h_tilde = params.h0_values(grid) - 2.0 * params.varrho * params.q
         self.W = response_rows(self.inc, params, grid)
-        self.B = _feedback_from_rows(self.W, self.inc, params.lam)
-        self._system = np.eye(grid.n + 1) - self.B
+        self.offset = _source_offset(self.W, params, grid)
+        self._system = _feedback_from_rows(self.W, self.inc, params.lam)  # I - B, in place
+        np.negative(self._system, out=self._system)
+        np.fill_diagonal(self._system, 1.0)
 
     def source_vector(self, forecasts: np.ndarray) -> np.ndarray:
-        return _source_from_rows(self.W, self.inc, self.params.lam,
-                                 self.h_tilde, forecasts)
+        return _source_from_rows(self.W, self.params.lam, self.offset, forecasts)
 
     def _speeds(self, sources: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(sources)):
             raise NumericError("non-finite source vector: the scenario overflows "
                                "double precision")
-        u = scipy.linalg.solve_triangular(self._system, sources, lower=True,
-                                          unit_diagonal=True, check_finite=False)
+        u, info = _trtrs(self._system, sources, lower=1, unitdiag=1)
+        if info != 0:
+            raise NumericError(f"forward substitution failed (LAPACK trtrs info {info})")
         if not np.all(np.isfinite(u)):
             raise NumericError("non-finite optimal speeds: the scenario overflows "
                                "double precision")

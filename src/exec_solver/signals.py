@@ -8,8 +8,10 @@ unchanged when the signal is independent of the martingale). On the grid,
     P_k = dt * sum_{j<k} I_j.
 
 The solver consumes the signal exclusively through the forecast matrix
-N[k, j] = E[P_{t_k} - P_T | info at t_j], which is closed-form for an
-Ornstein-Uhlenbeck signal.
+N[k, j] = E[P_{t_k} - P_T | info at t_j]. For an Ornstein-Uhlenbeck signal
+it is N[k, j] = s_k * e_{k-j} * I_j on k >= j, with e_m = exp(-gamma m dt)
+and s_k = expm1(gamma (t_k - t_n)) / gamma (s_k = t_k - t_n, e = 1 as
+gamma -> 0): a lower-Toeplitz matrix scaled by rows and by columns.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import InputError, UnsupportedSignalError
 from .model import TimeGrid, require_finite
@@ -155,10 +158,13 @@ def forecast_matrix(model: SignalModel, path: np.ndarray, grid: TimeGrid) -> np.
     For the OU signal the conditional expectation is available in closed
     form and depends on the path only through I_{t_j}:
 
-        N[k, j] = I_{t_j} * (exp(-gamma (n-j) dt) - exp(-gamma (k-j) dt)) / gamma.
+        N[k, j] = I_{t_j} * (exp(-gamma (n-j) dt) - exp(-gamma (k-j) dt)) / gamma
+                = s_k * e_{k-j} * I_{t_j},
 
-    The gamma -> 0 limit is I_{t_j} * (k - n) * dt. Tabulated signals must
-    carry a user-supplied forecast matrix.
+    with e_m and s_k as in the module docstring. The product form takes no
+    difference of exponentials: it keeps full relative accuracy as gamma -> 0
+    and overflows for no gamma T. Tabulated signals must carry a
+    user-supplied forecast matrix.
     """
     n, dt = grid.n, grid.dt
     path = np.asarray(path, dtype=float)
@@ -181,15 +187,16 @@ def forecast_matrix(model: SignalModel, path: np.ndarray, grid: TimeGrid) -> np.
     if not isinstance(model, OUSignal):
         raise InputError(f"unknown signal model {type(model).__name__}")
 
-    idx = np.arange(n + 1)
-    ahead = idx[:, None] - idx[None, :]  # k - j
-    if model.gamma < _GAMMA_EPS:
-        core = (idx[:, None] - n) * dt * np.ones(n + 1)[None, :]
+    t_rel = grid.t - grid.t[-1]  # t_k - t_n, +0.0 on the last row
+    g = model.gamma
+    if g < _GAMMA_EPS:
+        decay, scale = np.ones(n + 1), t_rel
     else:
-        g = model.gamma
-        tail = np.exp(-g * dt * (n - idx))[None, :]
-        core = (tail - np.exp(-g * dt * ahead)) / g
-    return np.where(ahead >= 0, path[None, :] * core, 0.0)
+        decay, scale = np.exp(-g * dt * np.arange(n + 1)), np.expm1(g * t_rel) / g
+    N = scipy.linalg.toeplitz(decay, np.zeros(n + 1))  # decay[k - j], zero for j > k
+    N *= scale[:, None]
+    N *= path
+    return N
 
 
 def price_path(signal_values: np.ndarray, grid: TimeGrid) -> np.ndarray:

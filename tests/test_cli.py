@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,8 @@ from exec_solver.kernels import ExponentialKernel, TabulatedKernel
 from exec_solver.model import evaluate_objective, rollout
 from exec_solver.signals import OUSignal, price_path, simulate_signal
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "docs" / "examples" / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "docs" / "examples" / "configs"
 
 SOLVE_CFG = """
 mode = solve
@@ -146,6 +150,14 @@ class TestRun:
         run(cfg_b)
         for name in ("path.csv", "breakdown.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_mc_byte_identical_reruns(self, tmp_path):
+        text = ("mode = mc\noutput_dir = {out}\ngrid.n = 24\nseed = 3\n"
+                "signal.type = ou\nmc.n_paths = 40\n")
+        run(parse_config(text.format(out=tmp_path / "a")))
+        run(parse_config(text.format(out=tmp_path / "b")))
+        summary = "mc_summary.csv"
+        assert (tmp_path / "a" / summary).read_bytes() == (tmp_path / "b" / summary).read_bytes()
 
     def test_sweep_outputs(self, tmp_path):
         text = f"""
@@ -294,6 +306,20 @@ class TestMain:
         assert main(["--config", str(cfg)]) == 0
         _, rows = read_csv(tmp_path / "o" / "path.csv")
         assert len(rows) == 3 and np.all(np.isfinite(np.array(rows, dtype=float)))
+
+    def test_fast_mean_reversion_solves_silently(self, tmp_path):
+        # gamma T = 1000: a difference of exponentials overflows exp() above the diagonal
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text(f"mode = solve\noutput_dir = {tmp_path / 'o'}\n"
+                       "signal.type = ou\nsignal.gamma = 100\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "exec_solver.cli",
+             "--config", str(cfg)], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert (tmp_path / "o" / "path.csv").exists()
 
     def test_numeric_error_exits_3(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "ok.cfg"

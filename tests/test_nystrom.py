@@ -10,9 +10,11 @@ from exec_solver import (
     InputError,
     IntegratedIncrements,
     NumericError,
+    NystromEngine,
     OUSignal,
     ScenarioParams,
     TabulatedKernel,
+    TabulatedSignal,
     TimeGrid,
     ZeroKernel,
     ZeroSignal,
@@ -25,6 +27,7 @@ from exec_solver import (
     solve_scenario_detail,
     solve_speed,
 )
+import exec_solver.nystrom as nystrom_mod
 from exec_solver.nystrom import response_rows
 from exec_solver.signals import forecast_matrix, simulate_signal
 
@@ -302,6 +305,59 @@ class TestSourceVector:
         inc = integrated_increments(exp_kernel, fig1_params, grid)
         with pytest.raises(InputError):
             build_source_vector(inc, fig1_params, grid, np.zeros((6, 6)))
+
+
+def engine_signals(n, rng):
+    """An OU, a zero and a tabulated signal with a random forecast, on n steps."""
+    forecast = np.tril(rng.normal(size=(n + 1, n + 1)))
+    return [OUSignal(I0=2.0, gamma=0.3, sigma=0.5), ZeroSignal(),
+            TabulatedSignal(rng.normal(size=n + 1), forecast=forecast)]
+
+
+class TestEngine:
+    @pytest.mark.parametrize("n", [2, 3, 16, 200])
+    def test_source_vector_matches_builder(self, n, exp_kernel, rng):
+        params = ScenarioParams(q=10.0, T=10.0, lam=0.5, varrho=4.0, h0=0.3)
+        grid = TimeGrid.uniform(10.0, n)
+        for sig in engine_signals(n, rng):
+            engine = NystromEngine(params, exp_kernel, grid, sig)
+            path = simulate_signal(sig, grid, seed=4)
+            N = forecast_matrix(sig, path, grid)
+            expected = build_source_vector(engine.inc, params, grid, N)
+            np.testing.assert_allclose(engine.source_vector(N), expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 200])
+    def test_batch_speeds_match_single_paths(self, n, fig1_params, frac_kernel, rng):
+        grid = TimeGrid.uniform(10.0, n)
+        for sig in engine_signals(n, rng):
+            engine = NystromEngine(fig1_params, frac_kernel, grid, sig)
+            paths = simulate_signal(sig, grid, seed=7, n_paths=5)
+            batch = engine.speeds_for_paths(paths)
+            for row, path in zip(batch, paths):
+                # the blocked batch solve rounds differently: entries that
+                # nearly cancel get an absolute floor at the row's scale
+                single = engine.speed_for_path(path)
+                np.testing.assert_allclose(row, single, rtol=1e-13,
+                                           atol=1e-13 * np.max(np.abs(single)))
+
+    def test_holds_rows_and_one_system_matrix(self, fig1_params, exp_kernel):
+        grid = TimeGrid.uniform(10.0, 16)
+        engine = NystromEngine(fig1_params, exp_kernel, grid, ZeroSignal())
+        held = {k: v for k, v in vars(engine).items() if isinstance(v, np.ndarray)}
+        assert "W" in held and "B" not in held
+        square = [k for k, v in held.items() if v.shape == (17, 17)]
+        assert len(square) == 1
+        system = held[square[0]]
+        assert system.flags.f_contiguous
+        B = build_feedback_matrix(engine.inc, fig1_params, grid)
+        assert np.array_equal(system, np.eye(17) - B)
+
+    def test_failed_substitution_raises(self, fig1_params, exp_kernel, monkeypatch):
+        grid = TimeGrid.uniform(10.0, 8)
+        engine = NystromEngine(fig1_params, exp_kernel, grid, ZeroSignal())
+        monkeypatch.setattr(nystrom_mod, "_trtrs", lambda a, b, **kw: (b, -2))
+        with pytest.raises(NumericError, match="forward substitution"):
+            engine.speed_for_path(np.zeros(9))
 
 
 class TestSolveSpeed:

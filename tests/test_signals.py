@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,33 @@ class TestForecastMatrix:
         given = np.arange(25.0).reshape(5, 5)
         sig = TabulatedSignal(np.ones(5), forecast=given)
         assert np.array_equal(forecast_matrix(sig, sig.values, grid), given)
+
+    @pytest.mark.parametrize("gamma", [1e-6, 1e-10, 2e-12])
+    def test_small_gamma_matches_series(self, gamma, rng):
+        # with a = t_n - t_j and b = t_k - t_j the exact entry is
+        # I_j (e^{-gamma a} - e^{-gamma b}) / gamma
+        #   = I_j (b - a) (1 - gamma (a + b) / 2 + gamma^2 (a^2 + a b + b^2) / 6 - ...),
+        # so a difference of exponentials loses digits as gamma -> 0
+        grid = TimeGrid.uniform(10.0, 200)
+        path = rng.normal(size=201)
+        N = forecast_matrix(OUSignal(I0=1.0, gamma=gamma, sigma=0.5), path, grid)
+        t = grid.t
+        a = (t[-1] - t)[None, :]
+        b = t[:, None] - t[None, :]
+        series = (t[:, None] - t[-1]) * (1.0 - gamma * (a + b) / 2.0
+                                         + gamma**2 * (a * a + a * b + b * b) / 6.0)
+        expected = np.where(b >= 0.0, series * path[None, :], 0.0)
+        np.testing.assert_allclose(N, expected, rtol=1e-12, atol=0.0)
+
+    def test_large_gamma_raises_no_warning(self, rng):
+        # gamma T = 1000: exp(-gamma (k - j) dt) would overflow above the diagonal
+        grid = TimeGrid.uniform(10.0, 200)
+        path = rng.normal(size=201)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            N = forecast_matrix(OUSignal(I0=1.0, gamma=100.0, sigma=0.5), path, grid)
+        assert np.all(np.isfinite(N))
+        assert N[0, 0] == pytest.approx(-path[0] / 100.0, rel=1e-13)
 
     def test_path_length_checked(self):
         grid = TimeGrid.uniform(4.0, 4)
