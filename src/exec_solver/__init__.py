@@ -38,8 +38,6 @@ from .model import (
 )
 from .nystrom import (
     NystromEngine,
-    build_feedback_matrix,
-    build_source_vector,
     dense_curvature,
     solve_scenario,
     solve_scenario_detail,

@@ -12,9 +12,9 @@ For a convolution kernel on a uniform grid both are Toeplitz and generated by
 one vector: the cell integrals cell[m] of H over [m*dt, (m+1)*dt] plus the
 penalty summand 2*varrho*dt. ``IntegratedIncrements`` stores that vector; the
 dense L, U and LG are built only on demand, for the quadratic-program oracle
-and the tests. The cell integrals are closed-form for the zero, exponential
-and fractional kernels and come from adaptive composite Gauss-Legendre
-quadrature otherwise, all cells in one vectorised pass.
+and the tests. The cell integrals are closed-form for the zero, exponential,
+fractional and bounded power-law kernels and come from adaptive composite
+Gauss-Legendre quadrature otherwise, all cells in one vectorised pass.
 """
 
 from __future__ import annotations
@@ -195,7 +195,8 @@ class BoundedPowerLawKernel(PropagatorKernel):
     """Bounded power-law decay H(tau) = ell0 / (ell0 + tau)^beta.
 
     Bounded, nonincreasing and convex, hence nonnegative definite. Cell
-    integrals go through the quadrature path.
+    integrals are closed-form; the Gram entries of the definiteness check
+    go through the quadrature path.
     """
 
     ell0: float = 1.0
@@ -210,6 +211,16 @@ class BoundedPowerLawKernel(PropagatorKernel):
 
     def decay(self, tau):
         return self.ell0 / (self.ell0 + np.asarray(tau, dtype=float)) ** self.beta
+
+    def cell_integral(self, a, b):
+        # ell0 * ((ell0 + b)^e - (ell0 + a)^e) / e with e = 1 - beta, written
+        # through log1p and expm1 so that neither beta near 1 nor a cell far
+        # wider or narrower than ell0 cancels digits; log1p alone at e = 0
+        e = 1.0 - self.beta
+        log_ratio = np.log1p((b - a) / (self.ell0 + a))
+        if e == 0.0:
+            return self.ell0 * log_ratio
+        return self.ell0 * (self.ell0 + a) ** e * np.expm1(e * log_ratio) / e
 
 
 @dataclass(frozen=True, eq=False)

@@ -114,14 +114,18 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class ObjectiveBreakdown:
-    """The five signed parts of the performance functional and their sum."""
+    """The five signed parts of the performance functional and their sum.
 
-    revenue: float
-    temporary_cost: float
-    transient_cost: float
-    running_penalty: float
-    terminal_penalty: float
-    total: float
+    Each part is a float for one path and an array of one value per path
+    for a batch.
+    """
+
+    revenue: float | np.ndarray
+    temporary_cost: float | np.ndarray
+    transient_cost: float | np.ndarray
+    running_penalty: float | np.ndarray
+    terminal_penalty: float | np.ndarray
+    total: float | np.ndarray
 
     @classmethod
     def from_parts(cls, revenue, temporary_cost, transient_cost,
@@ -136,7 +140,9 @@ class ObjectiveBreakdown:
 class StrategyPath:
     """Per-grid-point record of a strategy and its controlled state.
 
-    u   trading speed (n+1,)
+    Each array has shape (n+1,) for one path or (paths, n+1) for a batch.
+
+    u   trading speed
     Q   inventory, Q_0 = q and Q_{i+1} = Q_i - u_i dt exactly
     Z   transient price distortion
     I   signal values along the path (zeros when there is no signal)
@@ -155,63 +161,86 @@ def _check_grid(params: ScenarioParams, grid: TimeGrid):
         raise InputError(f"grid horizon {grid.T} does not match scenario horizon {params.T}")
 
 
+def _check_paths(grid: TimeGrid, **arrays: np.ndarray):
+    """Raise InputError unless all arrays have the shape of the first, which
+    must be one path (n+1,) or a batch (paths, n+1)."""
+    shape = next(iter(arrays.values())).shape
+    valid = len(shape) in (1, 2) and shape[-1] == grid.n + 1
+    for name, arr in arrays.items():
+        if not valid or arr.shape != shape:
+            want = shape if valid else f"({grid.n + 1},) or (paths, {grid.n + 1})"
+            raise InputError(f"{name} has shape {arr.shape}, expected {want}")
+
+
 def inventory_path(u: np.ndarray, q: float, dt: float) -> np.ndarray:
-    """Inventory by the exact left-endpoint recurrence Q_{i+1} = Q_i - u_i dt."""
-    n = u.shape[0] - 1
-    Q = np.empty(n + 1)
+    """Inventory by the exact left-endpoint recurrence Q_{i+1} = Q_i - u_i dt.
+
+    The loop runs over time on the transpose, so one path steps through
+    scalars and a batch updates all its paths with one row operation.
+    """
+    ut = u.T
+    Q = np.empty(ut.shape)
     Q[0] = q
-    for i in range(n):
-        Q[i + 1] = Q[i] - u[i] * dt
-    return Q
+    for i in range(ut.shape[0] - 1):
+        Q[i + 1] = Q[i] - ut[i] * dt
+    return np.ascontiguousarray(Q.T)
 
 
 def rollout(u: np.ndarray, params: ScenarioParams, grid: TimeGrid, kernel,
             signal_values: np.ndarray | None = None) -> StrategyPath:
-    """Roll a speed vector forward: inventory and transient distortion.
+    """Roll speeds forward: inventory and transient distortion.
+
+    ``u`` is one speed vector (n+1,) or a batch (paths, n+1), and
+    ``signal_values`` has the same shape.
 
     Z_k = h0(t_k) + sum_{j<k} (integral of the kernel over cell j at t_k) u_j,
     using the exact cell integrals of the pure propagator. On the uniform
-    grid that integral is cell[k-1-j], so the sum is one causal convolution.
+    grid that integral is cell[k-1-j]: one path takes one causal
+    convolution, a batch one product with the dense lower Toeplitz LG.
     """
     from .kernels import integrated_increments
 
     _check_grid(params, grid)
     u = np.asarray(u, dtype=float)
-    if u.shape != (grid.n + 1,):
-        raise InputError(f"speed vector has shape {u.shape}, expected ({grid.n + 1},)")
+    I = np.zeros_like(u) if signal_values is None else np.asarray(signal_values, float)
+    _check_paths(grid, u=u, signal_values=I)
 
     inc = integrated_increments(kernel, params, grid)
     Q = inventory_path(u, params.q, grid.dt)
-    Z = params.h0_values(grid)
-    Z[1:] += np.convolve(inc.cell, u[:-1])[:grid.n]
-    I = np.zeros(grid.n + 1) if signal_values is None else np.asarray(signal_values, float)
-    if I.shape != (grid.n + 1,):
-        raise InputError(f"signal path has shape {I.shape}, expected ({grid.n + 1},)")
+    if u.ndim == 1:
+        Z = params.h0_values(grid)
+        Z[1:] += np.convolve(inc.cell, u[:-1])[:grid.n]
+    else:
+        Z = params.h0_values(grid) + u @ inc.LG.T
     return StrategyPath(u=u, Q=Q, Z=Z, I=I)
 
 
 def evaluate_objective(path: StrategyPath, params: ScenarioParams, grid: TimeGrid,
                        price_path: np.ndarray) -> ObjectiveBreakdown:
-    """Pathwise objective of a rolled-out strategy against a realized price path.
+    """Pathwise objective of rolled-out strategies against realized price paths.
 
-    All running sums use the left-endpoint rule (indices 0..n-1); the book
-    value Q_n * P_T and the terminal penalty use the endpoint.
+    ``path`` holds one path or a batch, and ``price_path`` has the shape of
+    its speeds. All running sums use the left-endpoint rule (indices
+    0..n-1); the book value Q_n * P_T and the terminal penalty use the
+    endpoint.
     """
     _check_grid(params, grid)
     n, dt = grid.n, grid.dt
     P = np.asarray(price_path, dtype=float)
-    for name, vec in (("u", path.u), ("Q", path.Q), ("Z", path.Z), ("price_path", P)):
-        if vec.shape != (n + 1,):
-            raise InputError(f"{name} has shape {vec.shape}, expected ({n + 1},)")
+    _check_paths(grid, u=path.u, Q=path.Q, Z=path.Z, price_path=P)
+
+    def running_sum(x, y):
+        return np.einsum("...k,...k->...", x[..., :n], y[..., :n])
 
     u, Q, Z = path.u, path.Q, path.Z
-    revenue = dt * float(P[:n] @ u[:n]) + float(Q[n] * P[n])
-    temporary = params.lam * dt * float(u[:n] @ u[:n])
-    transient = dt * float(Z[:n] @ u[:n])
-    running = params.phi * dt * float(Q[:n] @ Q[:n])
-    q_end = float(Q[n])
-    terminal = params.varrho * (q_end * q_end)
-    parts = (revenue, temporary, transient, running, terminal)
-    if not all(map(math.isfinite, parts)):
+    q_end = Q[..., n]
+    parts = (dt * running_sum(P, u) + q_end * P[..., n],
+             params.lam * dt * running_sum(u, u),
+             dt * running_sum(Z, u),
+             params.phi * dt * running_sum(Q, Q),
+             params.varrho * q_end**2)
+    if not all(np.all(np.isfinite(part)) for part in parts):
         raise NumericError("non-finite objective: the strategy overflows double precision")
+    if u.ndim == 1:
+        parts = map(float, parts)
     return ObjectiveBreakdown.from_parts(*parts)

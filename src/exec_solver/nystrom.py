@@ -44,8 +44,6 @@ from .signals import SignalModel, forecast_matrix, price_path, simulate_signal
 __all__ = [
     "dense_curvature",
     "response_rows",
-    "build_feedback_matrix",
-    "build_source_vector",
     "solve_speed",
     "NystromEngine",
     "ScenarioSolution",
@@ -62,20 +60,13 @@ def _require_phi_zero(params: ScenarioParams):
         )
 
 
-def symmetrized_core(inc: IntegratedIncrements) -> np.ndarray:
-    """L + U restricted to the leading n x n block; D_i adds its trailing part."""
-    n = inc.L.shape[0] - 1
-    return inc.L[:n, :n] + inc.U[:n, :n]
-
-
 def dense_curvature(inc: IntegratedIncrements, params: ScenarioParams,
                     grid: TimeGrid, i: int) -> np.ndarray:
     """D_i as an explicit n x n matrix (diagnostics and positivity checks)."""
     _require_phi_zero(params)
     n = grid.n
-    core = symmetrized_core(inc)
     D = 2.0 * params.lam * np.eye(n)
-    D[i:, i:] += core[i:, i:]
+    D[i:, i:] += inc.L[i:n, i:n] + inc.U[i:n, i:n]
     return D
 
 
@@ -140,50 +131,6 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
     return W
 
 
-def _feedback_from_rows(W: np.ndarray, inc: IntegratedIncrements, lam: float) -> np.ndarray:
-    """B in column-major order, the layout LAPACK takes without a copy."""
-    n = W.shape[1]
-    L = lower_toeplitz(inc.cell + inc.aug)
-    B = (L[:n, :].T @ W.T).T
-    B -= L
-    B /= 2.0 * lam
-    for j in range(n + 1):
-        B[:j + 1, j] = 0.0
-    return B
-
-
-def _source_offset(W: np.ndarray, params: ScenarioParams, grid: TimeGrid) -> np.ndarray:
-    """The part of the source vector that does not depend on the signal."""
-    h_tilde = params.h0_values(grid) - 2.0 * params.varrho * params.q
-    return (W @ h_tilde[:grid.n] - h_tilde) / (2.0 * params.lam)
-
-
-def _source_from_rows(W: np.ndarray, lam: float, offset: np.ndarray,
-                      forecasts: np.ndarray) -> np.ndarray:
-    cross = np.einsum("ik,ki->i", W, forecasts[:W.shape[1], :])
-    return (np.diag(forecasts) - cross) / (2.0 * lam) + offset
-
-
-def build_feedback_matrix(inc: IntegratedIncrements, params: ScenarioParams,
-                          grid: TimeGrid) -> np.ndarray:
-    """Strictly lower-triangular feedback matrix B."""
-    W = response_rows(inc, params, grid)
-    return _feedback_from_rows(W, inc, params.lam)
-
-
-def build_source_vector(inc: IntegratedIncrements, params: ScenarioParams,
-                        grid: TimeGrid, forecasts: np.ndarray) -> np.ndarray:
-    """Source vector a, affine in the forecasts and the shifted distortion."""
-    _require_phi_zero(params)
-    if forecasts.shape != (grid.n + 1, grid.n + 1):
-        raise InputError(
-            f"forecast matrix has shape {forecasts.shape}, "
-            f"expected ({grid.n + 1}, {grid.n + 1})"
-        )
-    W = response_rows(inc, params, grid)
-    return _source_from_rows(W, params.lam, _source_offset(W, params, grid), forecasts)
-
-
 def solve_speed(a: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve (I - B) u = a by forward substitution (B strictly lower triangular)."""
     a = np.asarray(a, dtype=float)
@@ -213,20 +160,36 @@ class NystromEngine:
         self.grid = grid
         self.signal = signal
         self.inc = integrated_increments(kernel, params, grid)
-        self.W = response_rows(self.inc, params, grid)
-        self.offset = _source_offset(self.W, params, grid)
-        self._system = _feedback_from_rows(self.W, self.inc, params.lam)  # I - B, in place
-        np.negative(self._system, out=self._system)
-        np.fill_diagonal(self._system, 1.0)
+        self.W = W = response_rows(self.inc, params, grid)
+        n, two_lam = grid.n, 2.0 * params.lam
+        h_tilde = params.h0_values(grid) - 2.0 * params.varrho * params.q
+        self.offset = (W @ h_tilde[:n] - h_tilde) / two_lam
+        # I - B in place, column-major as LAPACK takes it without a copy:
+        # B[i, j] = (w_i . L_col_j - L[i, j]) / (2*lam) below the diagonal
+        L = lower_toeplitz(self.inc.cell + self.inc.aug)
+        system = (L[:n, :].T @ W.T).T
+        system -= L
+        system /= -two_lam
+        for j in range(n + 1):
+            system[:j, j] = 0.0
+            system[j, j] = 1.0
+        self.system = system
 
     def source_vector(self, forecasts: np.ndarray) -> np.ndarray:
-        return _source_from_rows(self.W, self.params.lam, self.offset, forecasts)
+        """a_i = (N[i, i] - w_i . N_col_i) / (2*lam) plus the signal-free offset."""
+        n = self.grid.n
+        if forecasts.shape != (n + 1, n + 1):
+            raise InputError(
+                f"forecast matrix has shape {forecasts.shape}, expected ({n + 1}, {n + 1})"
+            )
+        cross = np.einsum("ik,ki->i", self.W, forecasts[:n, :])
+        return (np.diag(forecasts) - cross) / (2.0 * self.params.lam) + self.offset
 
     def _speeds(self, sources: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(sources)):
             raise NumericError("non-finite source vector: the scenario overflows "
                                "double precision")
-        u, info = _trtrs(self._system, sources, lower=1, unitdiag=1)
+        u, info = _trtrs(self.system, sources, lower=1, unitdiag=1)
         if info != 0:
             raise NumericError(f"forward substitution failed (LAPACK trtrs info {info})")
         if not np.all(np.isfinite(u)):

@@ -4,9 +4,10 @@ For a deterministic price path the discrete objective is a concave
 quadratic in the speed vector, so the optimum can be found directly from
 the first-order condition. This module assembles that quadratic from the
 same left-endpoint rules as ``evaluate_objective`` (an entirely separate
-discretization from the integral-equation solver), solves it, and provides
-Monte Carlo estimation plus behavioral optimality tests for stochastic
-signals.
+discretization from the integral-equation solver) and solves it. It also
+provides Monte Carlo estimation plus behavioral optimality tests for
+stochastic signals; both evaluate a whole batch of paths with ``rollout``
+and ``evaluate_objective``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, ModelError, NumericError
-from .kernels import IntegratedIncrements, PropagatorKernel, integrated_increments
-from .model import ScenarioParams, TimeGrid
+from .kernels import IntegratedIncrements, PropagatorKernel
+from .model import ScenarioParams, TimeGrid, evaluate_objective, rollout
 from .nystrom import NystromEngine
 from .signals import SignalModel, price_path, simulate_signal
 
@@ -151,26 +152,6 @@ def solve_qp(qp: DiscreteQuadraticProgram) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
-def _batch_objective(us: np.ndarray, signal_paths: np.ndarray,
-                     params: ScenarioParams, grid: TimeGrid,
-                     inc: IntegratedIncrements) -> np.ndarray:
-    """Objective values for a batch of (strategy, signal-path) rows."""
-    n, dt = grid.n, grid.dt
-    h0g = params.h0_values(grid)
-    prices = price_path(signal_paths, grid)
-    Z = h0g[None, :] + us @ inc.LG.T
-    Q = np.empty_like(us)
-    Q[:, 0] = params.q
-    for i in range(n):
-        Q[:, i + 1] = Q[:, i] - us[:, i] * dt
-    revenue = dt * np.einsum("pk,pk->p", prices[:, :n], us[:, :n]) + Q[:, n] * prices[:, n]
-    temporary = params.lam * dt * np.einsum("pk,pk->p", us[:, :n], us[:, :n])
-    transient = dt * np.einsum("pk,pk->p", Z[:, :n], us[:, :n])
-    running = params.phi * dt * np.einsum("pk,pk->p", Q[:, :n], Q[:, :n])
-    terminal = params.varrho * Q[:, n] ** 2
-    return revenue - temporary - transient - running - terminal
-
-
 def nystrom_rule(params: ScenarioParams, kernel: PropagatorKernel,
                  signal: SignalModel, grid: TimeGrid):
     """Adapted strategy rule backed by the grid solver (phi = 0 only)."""
@@ -212,9 +193,9 @@ def mc_objective(params: ScenarioParams, kernel: PropagatorKernel,
     if n_paths < 1:
         raise InputError(f"n_paths must be >= 1, got {n_paths}")
     paths = simulate_signal(signal, grid, seed, n_paths=n_paths)
-    inc = integrated_increments(kernel, params, grid)
     us = np.stack([np.asarray(rule(p), dtype=float) for p in paths])
-    samples = _batch_objective(us, paths, params, grid, inc)
+    samples = evaluate_objective(rollout(us, params, grid, kernel, signal_values=paths),
+                                 params, grid, price_path(paths, grid)).total
     mean = float(np.mean(samples))
     stderr = float(np.std(samples, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
     if not (np.isfinite(mean) and np.isfinite(stderr)):
@@ -271,7 +252,13 @@ def perturbation_test(params: ScenarioParams, kernel: PropagatorKernel,
     engine = NystromEngine(params, kernel, grid, signal)
     paths = simulate_signal(signal, grid, seed, n_paths=n_paths)
     us = engine.speeds_for_paths(paths)
-    base = _batch_objective(us, paths, params, grid, engine.inc)
+    prices = price_path(paths, grid)
+
+    def objective(speeds):
+        return evaluate_objective(rollout(speeds, params, grid, kernel, signal_values=paths),
+                                  params, grid, prices).total
+
+    base = objective(us)
     base_mean = float(np.mean(base))
     atol = 1e-9 * (1.0 + abs(base_mean))
 
@@ -285,9 +272,7 @@ def perturbation_test(params: ScenarioParams, kernel: PropagatorKernel,
         v = hat_direction(grid, center, width)
         for eps_rel in eps_rels:
             eps = eps_rel * scale
-            bumped = _batch_objective(us + eps * v[None, :], paths, params, grid,
-                                      engine.inc)
-            diffs = bumped - base
+            diffs = objective(us + eps * v[None, :]) - base
             mean_diff = float(np.mean(diffs))
             sem = float(np.std(diffs, ddof=1) / np.sqrt(n_paths)) if n_paths > 1 else 0.0
             ok = mean_diff <= 2.0 * sem + atol

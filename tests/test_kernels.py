@@ -213,8 +213,30 @@ class TestIntegratedIncrements:
             assert np.max(np.abs(closed.L - quad.L)) <= 1e-9 * scale
             assert np.max(np.abs(closed.U - quad.U)) <= 1e-9 * scale
 
+    def test_closed_form_vs_quadrature_bounded_power_law(self):
+        params = ScenarioParams(q=10, T=10, lam=0.5, varrho=4)
+        kernels = [BoundedPowerLawKernel(ell0, beta) for ell0, beta in
+                   [(0.5, 2.0), (2.0, 0.3), (1.0, 1.0), (1.0, 1.0 + 1e-9), (1.0, 1.0 - 1e-9)]]
+        for kernel in kernels:
+            for n in (16, 128, 512):
+                grid = TimeGrid.uniform(10.0, n)
+                closed = integrated_increments(kernel, params, grid)
+                quad = integrated_increments(kernel, params, grid, method="quadrature")
+                scale = np.max(np.abs(closed.L))
+                assert np.max(np.abs(closed.L - quad.L)) <= 1e-9 * scale
+                assert np.max(np.abs(closed.U - quad.U)) <= 1e-9 * scale
+
+    def test_bounded_power_law_cells_far_wider_than_ell0(self):
+        # dt / ell0 = 1e5 with beta = 5: the kernel's mass sits in a sliver of
+        # the first cell, which Gauss-Legendre nodes spread over the cell miss
+        params = ScenarioParams(q=1, T=2e5, lam=1)
+        grid = TimeGrid.uniform(2e5, 2)
+        cell = integrated_increments(BoundedPowerLawKernel(ell0=1.0, beta=5.0), params, grid).cell
+        want = [(1.0 - (1.0 + 1e5) ** -4) / 4.0, ((1.0 + 1e5) ** -4 - (1.0 + 2e5) ** -4) / 4.0]
+        np.testing.assert_allclose(cell, want, rtol=1e-12, atol=0)
+
     def test_bounded_power_law_vs_antiderivative_oracle(self):
-        # the quadrature path checked against the elementary antiderivative
+        # the closed form checked against the elementary antiderivative
         params = ScenarioParams(q=1, T=4, lam=1, varrho=0)
         grid = TimeGrid.uniform(4.0, 8)
 
@@ -251,9 +273,9 @@ class TestIntegratedIncrements:
         dt = grid.dt
         # table knots off the grid, several inside each cell at small n
         times = np.concatenate(([0.0], np.sort(np.random.default_rng(n).uniform(0.0, 7.0, 40))))
-        closed = [ZeroKernel(), ExponentialKernel(1.3, 0.5), FractionalKernel(0.8, 0.6)]
-        quadrature = [BoundedPowerLawKernel(0.5, 2.0), BoundedPowerLawKernel(2.0, 0.3),
-                      TabulatedKernel.from_grid_values(grid, np.exp(-0.4 * grid.t)),
+        closed = [ZeroKernel(), ExponentialKernel(1.3, 0.5), FractionalKernel(0.8, 0.6),
+                  BoundedPowerLawKernel(0.5, 2.0), BoundedPowerLawKernel(2.0, 0.3)]
+        quadrature = [TabulatedKernel.from_grid_values(grid, np.exp(-0.4 * grid.t)),
                       TabulatedKernel(times=times, values=np.exp(-times) + 0.1 * np.sin(times))]
         for kernel, rtol in [(k, 1e-13) for k in closed] + [(k, 1e-12) for k in quadrature]:
             got = _cell_values(kernel, dt, n, "auto")

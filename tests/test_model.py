@@ -10,6 +10,7 @@ from exec_solver import (
     FractionalKernel,
     InputError,
     ScenarioParams,
+    StrategyPath,
     TabulatedKernel,
     TimeGrid,
     ZeroKernel,
@@ -208,3 +209,63 @@ class TestObjective:
         with pytest.raises(InputError):
             evaluate_objective(path, fig1_params, grid, np.zeros(8))
 
+
+
+PARTS = ("revenue", "temporary_cost", "transient_cost", "running_penalty",
+         "terminal_penalty", "total")
+
+
+class TestBatch:
+    @pytest.mark.parametrize("n", [2, 3, 16, 200])
+    def test_batch_matches_single_paths(self, n, rng):
+        # the batch takes the matrix-product distortion, one path the convolution
+        grid = TimeGrid.uniform(5.0, n)
+        params = ScenarioParams(q=2, T=5, lam=1, varrho=3, phi=0.3, h0=rng.normal(size=n + 1))
+        table = TabulatedKernel.from_grid_values(grid, np.exp(-0.4 * grid.t))
+        for kernel in (ExponentialKernel(1.0, 0.5), FractionalKernel(1.0, 0.7),
+                       BoundedPowerLawKernel(0.3, 1.5), table):
+            u = rng.normal(size=(4, n + 1))
+            I = rng.normal(size=(4, n + 1))
+            P = rng.normal(size=(4, n + 1))
+            batch = rollout(u, params, grid, kernel, signal_values=I)
+            bd = evaluate_objective(batch, params, grid, P)
+            LG = integrated_increments(kernel, params, grid).LG
+            for p in range(4):
+                single = rollout(u[p], params, grid, kernel, signal_values=I[p])
+                assert np.array_equal(batch.Q[p], single.Q)
+                assert np.array_equal(batch.I[p], single.I)
+                z_scale = np.abs(params.h0) + np.abs(LG) @ np.abs(u[p])
+                assert np.all(np.abs(batch.Z[p] - single.Z) <= 1e-13 * z_scale)
+                want = evaluate_objective(single, params, grid, P[p])
+                # every part evaluated on magnitudes bounds its rounding
+                scale = evaluate_objective(
+                    StrategyPath(u=np.abs(u[p]), Q=np.abs(single.Q), Z=z_scale),
+                    params, grid, np.abs(P[p]))
+                for name in PARTS[:-1]:
+                    got, ref = getattr(bd, name)[p], getattr(want, name)
+                    assert abs(got - ref) <= 1e-13 * getattr(scale, name), (kernel, name)
+                total_scale = sum(getattr(scale, name) for name in PARTS[:-1])
+                assert abs(bd.total[p] - want.total) <= 1e-13 * total_scale
+
+    def test_part_types(self, fig1_params, exp_kernel, rng):
+        grid = TimeGrid.uniform(10, 8)
+        single = evaluate_objective(rollout(rng.normal(size=9), fig1_params, grid, exp_kernel),
+                                    fig1_params, grid, np.zeros(9))
+        batch = evaluate_objective(rollout(rng.normal(size=(3, 9)), fig1_params, grid,
+                                           exp_kernel), fig1_params, grid, np.zeros((3, 9)))
+        for name in PARTS:
+            assert type(getattr(single, name)) is float
+            assert getattr(batch, name).shape == (3,)
+
+    def test_batch_shape_checks(self, fig1_params):
+        grid = TimeGrid.uniform(10, 8)
+        with pytest.raises(InputError, match="expected"):
+            rollout(np.zeros((3, 8)), fig1_params, grid, ZeroKernel())
+        with pytest.raises(InputError, match="signal_values"):
+            rollout(np.zeros((3, 9)), fig1_params, grid, ZeroKernel(),
+                    signal_values=np.zeros((2, 9)))
+        with pytest.raises(InputError, match="expected"):
+            rollout(np.zeros((2, 3, 9)), fig1_params, grid, ZeroKernel())
+        path = rollout(np.zeros((3, 9)), fig1_params, grid, ZeroKernel())
+        with pytest.raises(InputError, match="price_path"):
+            evaluate_objective(path, fig1_params, grid, np.zeros(9))

@@ -18,8 +18,6 @@ from exec_solver import (
     TimeGrid,
     ZeroKernel,
     ZeroSignal,
-    build_feedback_matrix,
-    build_source_vector,
     dense_curvature,
     integrated_increments,
     rollout,
@@ -78,7 +76,7 @@ def admissible_kernels(draw, grid):
     if kind == "fractional":
         return FractionalKernel(c=draw(scale), alpha=draw(st.floats(0.51, 0.99)))
     if kind == "bounded_power_law":
-        # ell0 down to a twentieth of a cell: the quadrature bisects the sharp first cell
+        # ell0 down to a twentieth of a cell: a sharp first cell, integrated in closed form
         ell0 = grid.dt * draw(st.floats(0.05, 10.0))
         return BoundedPowerLawKernel(ell0=ell0, beta=draw(st.floats(0.1, 2.0)))
     # a positive mixture of exponentials: nonnegative, decreasing and convex
@@ -243,18 +241,26 @@ class TestResponse:
             response_rows(inc, params, grid)
 
 
+def feedback_matrix(params, kernel, grid):
+    """B = I - (the engine's system), exact below the diagonal."""
+    engine = NystromEngine(params, kernel, grid, ZeroSignal())
+    return np.eye(grid.n + 1) - engine.system
+
+
+def source_vector(params, kernel, grid, forecasts):
+    return NystromEngine(params, kernel, grid, ZeroSignal()).source_vector(forecasts)
+
+
 class TestFeedbackMatrix:
     def test_zero_for_trivial_problem(self):
         params = ScenarioParams(q=10, T=10, lam=0.5, varrho=0)
         grid = TimeGrid.uniform(10, 6)
-        inc = integrated_increments(ZeroKernel(), params, grid)
-        B = build_feedback_matrix(inc, params, grid)
+        B = feedback_matrix(params, ZeroKernel(), grid)
         assert np.all(B == 0.0)
 
     def test_strictly_lower_triangular(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10, 10)
-        inc = integrated_increments(exp_kernel, fig1_params, grid)
-        B = build_feedback_matrix(inc, fig1_params, grid)
+        B = feedback_matrix(fig1_params, exp_kernel, grid)
         assert np.all(np.triu(B) == 0.0)
         assert np.any(B != 0.0)
 
@@ -263,7 +269,7 @@ class TestFeedbackMatrix:
         params = ScenarioParams(q=10, T=4, lam=0.5, varrho=4)
         grid = TimeGrid.uniform(4, 4)
         inc = integrated_increments(ZeroKernel(), params, grid)
-        B = build_feedback_matrix(inc, params, grid)
+        B = feedback_matrix(params, ZeroKernel(), grid)
         for i in range(5):
             D = dense_curvature(inc, params, grid, i)
             for j in range(i):
@@ -276,8 +282,7 @@ class TestSourceVector:
     def test_all_terms_vanish(self):
         params = ScenarioParams(q=10, T=10, lam=0.5, varrho=0)
         grid = TimeGrid.uniform(10, 6)
-        inc = integrated_increments(ZeroKernel(), params, grid)
-        a = build_source_vector(inc, params, grid, np.zeros((7, 7)))
+        a = source_vector(params, ZeroKernel(), grid, np.zeros((7, 7)))
         assert np.all(a == 0.0)
 
     def test_terminal_penalty_hand_values(self, fig1_params):
@@ -285,26 +290,24 @@ class TestSourceVector:
         # a_n = 2 varrho q / (2 lam) = 80 and a_0 equals the constant-rate
         # closed form varrho q / (lam + varrho T)
         grid = TimeGrid.uniform(10, 10)
-        inc = integrated_increments(ZeroKernel(), fig1_params, grid)
-        a = build_source_vector(inc, fig1_params, grid, np.zeros((11, 11)))
+        a = source_vector(fig1_params, ZeroKernel(), grid, np.zeros((11, 11)))
         assert a[-1] == pytest.approx(80.0, rel=1e-13)
         assert a[0] == pytest.approx(80.0 / 81.0, rel=1e-12)
 
     def test_positive_signal_lowers_initial_speed(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10, 16)
-        inc = integrated_increments(exp_kernel, fig1_params, grid)
         sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.0)
         N = forecast_matrix(sig, simulate_signal(sig, grid, 0), grid)
-        with_sig = build_source_vector(inc, fig1_params, grid, N)
-        without = build_source_vector(inc, fig1_params, grid, np.zeros_like(N))
+        engine = NystromEngine(fig1_params, exp_kernel, grid, sig)
+        with_sig = engine.source_vector(N)
+        without = engine.source_vector(np.zeros_like(N))
         assert N[0, 0] < 0.0
         assert with_sig[0] < without[0]
 
     def test_forecast_shape_checked(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10, 6)
-        inc = integrated_increments(exp_kernel, fig1_params, grid)
-        with pytest.raises(InputError):
-            build_source_vector(inc, fig1_params, grid, np.zeros((6, 6)))
+        with pytest.raises(InputError, match="forecast matrix"):
+            source_vector(fig1_params, exp_kernel, grid, np.zeros((6, 6)))
 
 
 def engine_signals(n, rng):
@@ -317,14 +320,26 @@ def engine_signals(n, rng):
 class TestEngine:
     @pytest.mark.parametrize("n", [2, 3, 16, 200])
     def test_source_vector_matches_builder(self, n, exp_kernel, rng):
+        # against the source formula evaluated row by row from the engine's W:
+        # a_i = (N[i, i] - w_i . N[:n, i]) / (2 lam) + (w_i . h~[:n] - h~_i) / (2 lam);
+        # the sums run in another order, so entries that nearly cancel are
+        # held to 1e-13 of the magnitude of their terms
         params = ScenarioParams(q=10.0, T=10.0, lam=0.5, varrho=4.0, h0=0.3)
         grid = TimeGrid.uniform(10.0, n)
+        h_tilde = params.h0_values(grid) - 2.0 * params.varrho * params.q
+        two_lam = 2.0 * params.lam
         for sig in engine_signals(n, rng):
             engine = NystromEngine(params, exp_kernel, grid, sig)
             path = simulate_signal(sig, grid, seed=4)
             N = forecast_matrix(sig, path, grid)
-            expected = build_source_vector(engine.inc, params, grid, N)
-            np.testing.assert_allclose(engine.source_vector(N), expected, rtol=1e-13, atol=0)
+            W = engine.W
+            want, scale = np.empty(n + 1), np.empty(n + 1)
+            for i in range(n + 1):
+                want[i] = ((N[i, i] - W[i] @ N[:n, i]) / two_lam
+                           + (W[i] @ h_tilde[:n] - h_tilde[i]) / two_lam)
+                scale[i] = (abs(N[i, i]) + np.abs(W[i]) @ np.abs(N[:n, i])
+                            + np.abs(W[i]) @ np.abs(h_tilde[:n]) + abs(h_tilde[i])) / two_lam
+            assert np.all(np.abs(engine.source_vector(N) - want) <= 1e-13 * scale)
 
     @pytest.mark.parametrize("n", [2, 3, 16, 200])
     def test_batch_speeds_match_single_paths(self, n, fig1_params, frac_kernel, rng):
@@ -348,9 +363,11 @@ class TestEngine:
         square = [k for k, v in held.items() if v.shape == (17, 17)]
         assert len(square) == 1
         system = held[square[0]]
-        assert system.flags.f_contiguous
-        B = build_feedback_matrix(engine.inc, fig1_params, grid)
-        assert np.array_equal(system, np.eye(17) - B)
+        assert system is engine.system and system.flags.f_contiguous
+        # B[i, j] = (w_i . L[:n, j] - L[i, j]) / (2 lam) below the diagonal
+        L = engine.inc.L
+        B = np.tril(engine.W @ L[:16] - L, k=-1) / (2.0 * fig1_params.lam)
+        np.testing.assert_allclose(system, np.eye(17) - B, rtol=1e-13, atol=0)
 
     def test_failed_substitution_raises(self, fig1_params, exp_kernel, monkeypatch):
         grid = TimeGrid.uniform(10.0, 8)
@@ -392,11 +409,10 @@ class TestScenario:
     def test_composition_matches_pipeline(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10, 32)
         sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.0)
-        inc = integrated_increments(exp_kernel, fig1_params, grid)
+        engine = NystromEngine(fig1_params, exp_kernel, grid, sig)
         N = forecast_matrix(sig, simulate_signal(sig, grid, 0), grid)
-        B = build_feedback_matrix(inc, fig1_params, grid)
-        a = build_source_vector(inc, fig1_params, grid, N)
-        composed = solve_speed(a, B)
+        a = engine.source_vector(N)
+        composed = solve_speed(a, np.eye(33) - engine.system)
         pipeline = solve_scenario(fig1_params, exp_kernel, sig, grid).u
         assert np.allclose(composed, pipeline, rtol=1e-12, atol=1e-13)
 

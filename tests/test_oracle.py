@@ -5,6 +5,7 @@ from exec_solver import (
     ExponentialKernel,
     FractionalKernel,
     BoundedPowerLawKernel,
+    InputError,
     ModelError,
     OUSignal,
     ScenarioParams,
@@ -198,6 +199,25 @@ class TestMonteCarlo:
         want = evaluate_objective(sp, fig1_params, grid, np.zeros(17)).total
         assert est.stderr == 0.0
         assert est.mean == pytest.approx(want, rel=1e-12)
+
+    def test_samples_match_pathwise_objective(self, frac_kernel):
+        params = ScenarioParams(q=10, T=10, lam=0.5, varrho=4, h0=0.7)
+        grid = TimeGrid.uniform(10, 24)
+        sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
+        rule = nystrom_rule(params, frac_kernel, sig, grid)
+        est = mc_objective(params, frac_kernel, sig, grid, rule, n_paths=20, seed=3)
+        for sample, path in zip(est.samples, simulate_signal(sig, grid, 3, n_paths=20)):
+            sp = rollout(rule(path), params, grid, frac_kernel, signal_values=path)
+            bd = evaluate_objective(sp, params, grid, price_path(path, grid))
+            scale = (abs(bd.revenue) + bd.temporary_cost + abs(bd.transient_cost)
+                     + bd.terminal_penalty)
+            assert sample == pytest.approx(bd.total, rel=0, abs=1e-13 * scale)
+
+    def test_rule_with_wrong_length_rejected(self, fig1_params, exp_kernel):
+        grid = TimeGrid.uniform(10, 16)
+        with pytest.raises(InputError, match="shape"):
+            mc_objective(fig1_params, exp_kernel, ZeroSignal(), grid,
+                         lambda path: np.ones(16), n_paths=3, seed=0)
 
     def test_seed_determinism(self, fig1_params):
         grid = TimeGrid.uniform(10, 16)
