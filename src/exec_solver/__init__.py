@@ -13,7 +13,6 @@ from .errors import (
     InputError,
     ModelError,
     NumericError,
-    SingularKernelError,
     UnsupportedSignalError,
 )
 from .kernels import (

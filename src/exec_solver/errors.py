@@ -14,11 +14,7 @@ class ConfigError(ExecSolverError):
 
 
 class NumericError(ExecSolverError):
-    """Numerical failure: singular system, non-convergent quadrature."""
-
-
-class SingularKernelError(NumericError):
-    """Propagator kernel evaluated exactly on a non-integrable point."""
+    """Numerical failure: singular system, non-finite result."""
 
 
 class UnsupportedSignalError(ExecSolverError):

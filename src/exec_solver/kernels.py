@@ -12,21 +12,22 @@ For a convolution kernel on a uniform grid both are Toeplitz and generated by
 one vector: the cell integrals cell[m] of H over [m*dt, (m+1)*dt] plus the
 penalty summand 2*varrho*dt. ``IntegratedIncrements`` stores that vector; the
 dense L, U and LG are built only on demand, for the quadratic-program oracle
-and the tests. The cell integrals are closed-form for the zero, exponential,
-fractional and bounded power-law kernels and come from adaptive composite
-Gauss-Legendre quadrature otherwise, all cells in one vectorised pass.
+and the tests. Every kernel supplies its cell integrals and its cell first
+moments exactly, all cells in one vectorised pass: in closed form for the
+zero, exponential, fractional and bounded power-law kernels, and by exact
+per-piece rules on the piecewise-linear tabulated kernel. The Gram matrix of
+the definiteness check is built from the same two hooks.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .errors import InputError, NumericError, SingularKernelError
+from .errors import InputError, NumericError
 from .model import ScenarioParams, TimeGrid, require_finite
 
 __all__ = [
@@ -42,42 +43,25 @@ __all__ = [
     "check_nonnegative_definite",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
 class PropagatorKernel:
-    """Base class: a convolution propagator with resilience function ``decay``."""
+    """Base class: a convolution propagator G(t, s) = 1_{s<t} H(t - s).
+
+    The solver uses H only through its integrals over grid cells. In both
+    hooks ``a`` and ``b`` are arrays of interval ends with 0 <= a <= b, and
+    the result is an array of the same shape.
+    """
 
     def decay(self, tau):
+        """The resilience function H at lags tau > 0."""
         raise NotImplementedError
 
-    def evaluate(self, t: float, s: float) -> float:
-        """Pointwise G(t, s); zero on and above the diagonal (s >= t)."""
-        if s >= t:
-            return 0.0
-        return float(self.decay(t - s))
-
-    # Closed-form hooks; None means "fall back to quadrature".
-
     def cell_integral(self, a, b):
-        """Exact integrals of the resilience function over [a, b], if known.
+        """Integral of H(x) over [a, b]."""
+        raise NotImplementedError
 
-        ``a`` and ``b`` are arrays of interval ends; returns an array of the
-        same shape, or None.
-        """
-        return None
-
-    def gram_diag(self, dt: float) -> float | None:
-        """Exact integral of (dt - tau) * H(tau) over [0, dt], if known."""
-        return None
-
-    def gram_off(self, m: int, dt: float) -> float | None:
-        """Exact integral of (dt - |tau|) * H(m*dt + tau) over [-dt, dt], if known."""
-        return None
-
-    def quadrature_knots(self):
-        """Interior breakpoints the quadrature must split at (tabulated data)."""
-        return None
+    def cell_moment(self, a, b):
+        """Integral of (x - a) * H(x) over [a, b]."""
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -90,11 +74,8 @@ class ZeroKernel(PropagatorKernel):
     def cell_integral(self, a, b):
         return np.zeros(np.shape(a))
 
-    def gram_diag(self, dt):
-        return 0.0
-
-    def gram_off(self, m, dt):
-        return 0.0
+    def cell_moment(self, a, b):
+        return np.zeros(np.shape(a))
 
 
 @dataclass(frozen=True)
@@ -118,14 +99,10 @@ class ExponentialKernel(PropagatorKernel):
         r = self.rho
         return self.c * (np.exp(-r * a) - np.exp(-r * b)) / r
 
-    def gram_diag(self, dt):
+    def cell_moment(self, a, b):
         r = self.rho
-        return self.c * (dt / r - (1.0 - math.exp(-r * dt)) / r**2)
-
-    def gram_off(self, m, dt):
-        r = self.rho
-        hump = math.exp(r * dt) + math.exp(-r * dt) - 2.0
-        return self.c * math.exp(-r * m * dt) * hump / r**2
+        h = r * (b - a)
+        return self.c * np.exp(-r * a) * (-np.expm1(-h) - h * np.exp(-h)) / r**2
 
 
 @dataclass(frozen=True)
@@ -133,9 +110,8 @@ class FractionalKernel(PropagatorKernel):
     """Power-law propagator G(t, s) = c * (t - s)^(alpha - 1), alpha in (1/2, 1).
 
     The decay exponent is beta = 1 - alpha in (0, 1/2), so the diagonal
-    singularity is square-integrable. Pointwise evaluation on the diagonal
-    is refused; all consumers use the integrated increments, which are
-    closed-form.
+    singularity is square-integrable. H is infinite at tau = 0, but its cell
+    integrals and moments, the only form the solver uses, are closed-form.
     """
 
     c: float = 1.0
@@ -158,36 +134,14 @@ class FractionalKernel(PropagatorKernel):
     def decay(self, tau):
         return self.c * np.asarray(tau, dtype=float) ** (self.alpha - 1.0)
 
-    def evaluate(self, t, s):
-        if s == t:
-            raise SingularKernelError(
-                "fractional kernel is singular at s = t; use integrated increments"
-            )
-        if s > t:
-            return 0.0
-        return float(self.decay(t - s))
-
     def cell_integral(self, a, b):
         al = self.alpha
         return self.c * (b**al - a**al) / al
 
-    def gram_diag(self, dt):
+    def cell_moment(self, a, b):
         al = self.alpha
-        return self.c * dt ** (al + 1.0) / (al * (al + 1.0))
-
-    def gram_off(self, m, dt):
-        al = self.alpha
-
-        def f1(w):  # antiderivative of w^(alpha-1)
-            return w**al / al
-
-        def f2(w):  # antiderivative of w^alpha
-            return w ** (al + 1.0) / (al + 1.0)
-
-        lo, mid, hi = (m - 1) * dt, m * dt, (m + 1) * dt
-        left = (1 - m) * dt * (f1(mid) - f1(lo)) + (f2(mid) - f2(lo))
-        right = (1 + m) * dt * (f1(hi) - f1(mid)) - (f2(hi) - f2(mid))
-        return self.c * (left + right)
+        return self.c * ((b ** (al + 1.0) - a ** (al + 1.0)) / (al + 1.0)
+                         - a * (b**al - a**al) / al)
 
 
 @dataclass(frozen=True)
@@ -195,8 +149,7 @@ class BoundedPowerLawKernel(PropagatorKernel):
     """Bounded power-law decay H(tau) = ell0 / (ell0 + tau)^beta.
 
     Bounded, nonincreasing and convex, hence nonnegative definite. Cell
-    integrals are closed-form; the Gram entries of the definiteness check
-    go through the quadrature path.
+    integrals and moments are closed-form.
     """
 
     ell0: float = 1.0
@@ -222,15 +175,30 @@ class BoundedPowerLawKernel(PropagatorKernel):
             return self.ell0 * log_ratio
         return self.ell0 * (self.ell0 + a) ** e * np.expm1(e * log_ratio) / e
 
+    def cell_moment(self, a, b):
+        # ell0 * (ell0 + a)^(2 - beta) * (E(2 - beta) - E(1 - beta)) with
+        # E(p) = expm1(p * r) / p and r = log1p((b - a) / (ell0 + a)), exact
+        # at beta = 1 and beta = 2 where one E is r
+        log_ratio = np.log1p((b - a) / (self.ell0 + a))
+        p = 2.0 - self.beta
+        gap = _expm1_ratio(p, log_ratio) - _expm1_ratio(p - 1.0, log_ratio)
+        return self.ell0 * (self.ell0 + a) ** p * gap
+
+
+def _expm1_ratio(p: float, r):
+    """expm1(p * r) / p, continued by its limit r at p = 0."""
+    return r if p == 0.0 else np.expm1(p * r) / p
+
 
 @dataclass(frozen=True, eq=False)
 class TabulatedKernel(PropagatorKernel):
     """Convolution kernel given by resilience samples on [0, T_table].
 
-    Evaluation interpolates linearly between samples and holds the last
-    value beyond the table. Cell integrals go through the quadrature path,
-    split at the table knots so the piecewise-linear interpolant is
-    integrated exactly.
+    H interpolates linearly between samples and holds the last value beyond
+    the table. Cell integrals and moments cut each interval at the table
+    knots inside it and sum exact rules over the pieces: the trapezoid rule
+    for H, and Simpson's rule for (x - a) * H(x), which is quadratic on each
+    piece.
     """
 
     times: np.ndarray
@@ -255,78 +223,38 @@ class TabulatedKernel(PropagatorKernel):
     def decay(self, tau):
         return np.interp(np.asarray(tau, dtype=float), self.times, self.values)
 
-    def quadrature_knots(self):
-        return self.times
+    def cell_integral(self, a, b):
+        lo, hi, start, owner = self._pieces(a, b)
+        piece = 0.5 * (hi - lo) * (self.decay(lo) + self.decay(hi))
+        return np.bincount(owner, piece, minlength=start.size).reshape(np.shape(a))
 
+    def cell_moment(self, a, b):
+        lo, hi, start, owner = self._pieces(a, b)
+        mid = 0.5 * (lo + hi)
+        a_piece = start[owner]
+        piece = (hi - lo) / 6.0 * ((lo - a_piece) * self.decay(lo)
+                                   + 4.0 * (mid - a_piece) * self.decay(mid)
+                                   + (hi - a_piece) * self.decay(hi))
+        return np.bincount(owner, piece, minlength=start.size).reshape(np.shape(a))
 
-# ---------------------------------------------------------------------------
-# quadrature fallback
+    def _pieces(self, a, b):
+        """Cut each interval [a[i], b[i]] at the table knots strictly inside it.
 
-# bisections a cell may take before the quadrature gives up on it
-_MAX_BISECTIONS = 12
-
-
-def _gauss(f, lo, hi):
-    """16-node Gauss-Legendre on every interval [lo[i], hi[i]] at once."""
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return half * (f(mid[:, None] + half[:, None] * _GL_NODES) @ _GL_WEIGHTS)
-
-
-def _split_at_knots(a, b, knots):
-    """Pieces of each [a[i], b[i]] between the knots inside it, and their owner i."""
-    owner = np.arange(a.size)
-    if knots is None:
-        return a, b, owner
-    first = np.searchsorted(knots, a, side="right")
-    inner = np.maximum(np.searchsorted(knots, b, side="left") - first, 0)
-    sizes = inner + 1
-    owner = np.repeat(owner, sizes)
-    pos = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    knot = first[owner] + pos  # piece pos runs from knots[knot - 1] to knots[knot]
-    last = knots.size - 1
-    lo = np.where(pos == 0, a[owner], knots[np.clip(knot - 1, 0, last)])
-    hi = np.where(pos == inner[owner], b[owner], knots[np.clip(knot, 0, last)])
-    return lo, hi, owner
-
-
-def quad_integral(f, a, b, knots=None, rel_tol=1e-10):
-    """Adaptive composite 16-node Gauss-Legendre on each interval [a, b].
-
-    ``a`` and ``b`` are scalars or arrays of interval ends; ``f`` must accept
-    a 2-d array of nodes. Each interval is split at the knots inside it and
-    integrated on those pieces and on their halves. An interval where the two
-    differ by more than ``rel_tol`` relatively (plus a 1e-14*(b-a) floor) is
-    bisected, and each half is checked by the same rule. Raises NumericError
-    naming the interval if it still fails after ``_MAX_BISECTIONS`` halvings:
-    the integrand is not smooth enough for this rule and needs a closed form.
-    """
-    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    shape = a.shape
-    a, b = a.ravel(), b.ravel()
-    out = np.zeros(a.size)
-    cell = np.flatnonzero(b > a)  # the interval each active piece belongs to
-    lo, hi = a[cell], b[cell]
-    for depth in range(_MAX_BISECTIONS + 1):
-        piece_lo, piece_hi, owner = _split_at_knots(lo, hi, knots)
-        piece_mid = 0.5 * (piece_lo + piece_hi)
-        coarse = np.bincount(owner, _gauss(f, piece_lo, piece_hi), minlength=lo.size)
-        fine = np.bincount(owner, _gauss(f, piece_lo, piece_mid) + _gauss(f, piece_mid, piece_hi),
-                           minlength=lo.size)
-        tol = rel_tol * np.maximum(np.abs(coarse), np.abs(fine)) + 1e-14 * (hi - lo)
-        bad = np.abs(fine - coarse) > tol
-        np.add.at(out, cell[~bad], fine[~bad])
-        if not bad.any():
-            break
-        if depth == _MAX_BISECTIONS:
-            worst = cell[bad][0]
-            raise NumericError(
-                f"cell quadrature did not converge on [{a[worst]}, {b[worst]}] "
-                f"after {_MAX_BISECTIONS} bisections"
-            )
-        mid = 0.5 * (lo[bad] + hi[bad])
-        lo, hi = np.concatenate((lo[bad], mid)), np.concatenate((mid, hi[bad]))
-        cell = np.concatenate((cell[bad], cell[bad]))
-    return out.reshape(shape) if shape else float(out[0])
+        Returns the ends lo, hi of every piece, the flattened interval starts
+        and the index i of the interval each piece belongs to. H is linear
+        on every piece.
+        """
+        a, b, knots = np.ravel(a), np.ravel(b), self.times
+        first = np.searchsorted(knots, a, side="right")
+        inner = np.maximum(np.searchsorted(knots, b, side="left") - first, 0)
+        sizes = inner + 1
+        owner = np.repeat(np.arange(a.size), sizes)
+        pos = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        knot = first[owner] + pos  # piece pos runs from knots[knot - 1] to knots[knot]
+        last = knots.size - 1
+        lo = np.where(pos == 0, a[owner], knots[np.clip(knot - 1, 0, last)])
+        hi = np.where(pos == inner[owner], b[owner], knots[np.clip(knot, 0, last)])
+        return lo, hi, a, owner
 
 
 # ---------------------------------------------------------------------------
@@ -384,29 +312,16 @@ class IntegratedIncrements:
         return U
 
 
-def _cell_values(kernel: PropagatorKernel, dt: float, n: int, method: str) -> np.ndarray:
+def _cell_values(kernel: PropagatorKernel, dt: float, n: int) -> np.ndarray:
     """Integrals of the resilience function over [(m-1)dt, m*dt], m = 1..n."""
-    if method not in ("auto", "closed", "quadrature"):
-        raise InputError(f"unknown increments method {method!r}")
     edges = np.arange(n + 1) * dt
-    out = None if method == "quadrature" else kernel.cell_integral(edges[:-1], edges[1:])
-    if out is None:
-        if method == "closed":
-            raise InputError(f"{type(kernel).__name__} has no closed-form cell integrals")
-        out = quad_integral(kernel.decay, edges[:-1], edges[1:],
-                            knots=kernel.quadrature_knots())
-    return np.asarray(out, dtype=float)
+    return np.asarray(kernel.cell_integral(edges[:-1], edges[1:]), dtype=float)
 
 
 def integrated_increments(kernel: PropagatorKernel, params: ScenarioParams,
-                          grid: TimeGrid, method: str = "auto") -> IntegratedIncrements:
-    """Cell-integral generator of L, U and LG for one kernel on one grid.
-
-    ``method`` selects the cell-integral route: "auto" uses closed forms
-    where the kernel provides them, "quadrature" forces the Gauss-Legendre
-    fallback (used by the cross-validation tests).
-    """
-    cell = _cell_values(kernel, grid.dt, grid.n, method)
+                          grid: TimeGrid) -> IntegratedIncrements:
+    """Cell-integral generator of L, U and LG for one kernel on one grid."""
+    cell = _cell_values(kernel, grid.dt, grid.n)
     inc = IntegratedIncrements(cell=cell, dt=grid.dt, varrho=params.varrho)
     if not np.all(np.isfinite(cell + inc.aug)):
         raise NumericError("non-finite integrated increments")
@@ -435,25 +350,17 @@ class DefinitenessReport:
 
 
 def _gram_first_row(kernel: PropagatorKernel, dt: float, n: int) -> np.ndarray:
-    diag = kernel.gram_diag(dt)
-    knots = kernel.quadrature_knots()
-    if diag is None:
-        diag = quad_integral(lambda x: (dt - x) * kernel.decay(x), 0.0, dt, knots=knots)
-    row = np.empty(n)
-    row[0] = 2.0 * diag
-    for m in range(1, n):
-        val = kernel.gram_off(m, dt)
-        if val is None:
-            # integral of (dt - |w - m*dt|) * H(w) over [(m-1)dt, (m+1)dt]
-            center = m * dt
-            val = quad_integral(
-                lambda x: (dt - np.abs(x - center)) * kernel.decay(x),
-                (m - 1) * dt, center, knots=knots,
-            ) + quad_integral(
-                lambda x: (dt - np.abs(x - center)) * kernel.decay(x),
-                center, (m + 1) * dt, knots=knots,
-            )
-        row[m] = val
+    """First row of the Gram matrix of G(t, s) + G(s, t) over the grid cells.
+
+    Entry m is the integral of (dt - |x - m*dt|) * H(x) over the two cells
+    beside m*dt. With M[j] the moment of H on cell j about its left end and
+    A[j] = dt*cell[j] - M[j], entry 0 is 2*A[0] and entry m is A[m] + M[m-1].
+    """
+    edges = np.arange(n + 1) * dt
+    moment = kernel.cell_moment(edges[:-1], edges[1:])
+    row = dt * kernel.cell_integral(edges[:-1], edges[1:]) - moment
+    row[0] *= 2.0
+    row[1:] += moment[:-1]
     return row
 
 

@@ -298,7 +298,7 @@ class TestMain:
         assert err.startswith("numeric error:") and stage in err
 
     def test_coarse_bounded_power_law_cells_solve(self, tmp_path):
-        # cells six times wider than ell0 need the quadrature to bisect them
+        # cells six times wider than ell0, integrated in closed form like any other
         cfg = tmp_path / "coarse.cfg"
         cfg.write_text(f"mode = solve\noutput_dir = {tmp_path / 'o'}\ngrid.n = 2\n"
                        "scenario.T = 6\nkernel.type = bounded_power_law\n"

@@ -1,4 +1,6 @@
+import bisect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,16 +11,15 @@ from exec_solver import (
     ExponentialKernel,
     FractionalKernel,
     InputError,
-    NumericError,
+    IntegratedIncrements,
     ScenarioParams,
-    SingularKernelError,
     TabulatedKernel,
     TimeGrid,
     ZeroKernel,
     check_nonnegative_definite,
     integrated_increments,
 )
-from exec_solver.kernels import _cell_values, quad_integral
+from exec_solver.kernels import _cell_values, _gram_first_row
 
 ALL_DECAYING = [
     ExponentialKernel(1.0, 0.5),
@@ -36,32 +37,65 @@ def exp_series(x, terms=40):
     return total
 
 
+def quad_increments(kernel, params, grid):
+    """Reference increments with every cell from scipy's adaptive quadrature."""
+    dt = grid.dt
+    cell = [si.quad(kernel.decay, m * dt, (m + 1) * dt)[0] for m in range(grid.n)]
+    return IntegratedIncrements(cell=np.array(cell), dt=dt, varrho=params.varrho)
+
+
+def exact_interpolant_integrals(times, values, a, b):
+    """Integral and first moment about a of the tabulated interpolant on [a, b].
+
+    Exact rational arithmetic on the float inputs: H is linear between the
+    knots and held at the last value beyond them, so each piece integrates
+    through its polynomial antiderivative.
+    """
+    xs, ys = [Fraction(t) for t in times], [Fraction(v) for v in values]
+    a, b = Fraction(a), Fraction(b)
+
+    def H(x):
+        if x >= xs[-1]:
+            return ys[-1]
+        i = bisect.bisect_right(xs, x) - 1
+        return ys[i] + (ys[i + 1] - ys[i]) * (x - xs[i]) / (xs[i + 1] - xs[i])
+
+    cuts = [a] + [x for x in xs if a < x < b] + [b]
+    integral = moment = Fraction(0)
+    for lo, hi in zip(cuts, cuts[1:]):
+        slope = (H(hi) - H(lo)) / (hi - lo)
+        icpt = H(lo) - slope * lo  # H(x) = icpt + slope * x on [lo, hi]
+        integral += icpt * (hi - lo) + slope * (hi**2 - lo**2) / 2
+        moment += (slope * (hi**3 - lo**3) / 3 + (icpt - a * slope) * (hi**2 - lo**2) / 2
+                   - a * icpt * (hi - lo))
+    return integral, moment
+
+
 class TestEval:
     def test_exponential_point_value(self):
         k = ExponentialKernel(c=1.0, rho=0.5)
-        assert k.evaluate(2.0, 1.0) == pytest.approx(exp_series(-0.5), rel=1e-13)
-        assert k.evaluate(2.0, 1.0) == pytest.approx(0.6065306597126334, rel=1e-12)
+        assert k.decay(1.0) == pytest.approx(exp_series(-0.5), rel=1e-13)
+        assert k.decay(1.0) == pytest.approx(0.6065306597126334, rel=1e-12)
 
     def test_volterra_property(self):
+        # G(t, s) = 0 for s >= t: L holds cells strictly below the diagonal,
+        # U on and above it, and U's last column is empty (no cell starts at t_n)
+        params = ScenarioParams(q=1, T=5, lam=1, varrho=0)
+        grid = TimeGrid.uniform(5.0, 6)
         for k in ALL_DECAYING + [ZeroKernel()]:
-            assert k.evaluate(1.0, 2.0) == 0.0
-            assert k.evaluate(1.0, 1.5) == 0.0
+            inc = integrated_increments(k, params, grid)
+            assert np.all(np.triu(inc.L) == 0.0)
+            assert np.all(np.tril(inc.U, k=-1) == 0.0) and np.all(inc.U[:, -1] == 0.0)
 
     def test_zero_kernel(self):
         k = ZeroKernel()
-        assert k.evaluate(2.0, 1.0) == 0.0
-        assert k.evaluate(0.3, 0.1) == 0.0
-
-    def test_fractional_diagonal_raises(self):
-        k = FractionalKernel(1.0, 0.55)
-        with pytest.raises(SingularKernelError):
-            k.evaluate(1.0, 1.0)
-        assert k.evaluate(1.0, 1.0001) == 0.0
+        assert k.decay(1.0) == 0.0
+        assert k.decay(0.2) == 0.0
 
     def test_tabulated_interpolates(self):
         grid = TimeGrid.uniform(2.0, 4)
         k = TabulatedKernel.from_grid_values(grid, [4.0, 3.0, 2.0, 1.0, 0.5])
-        assert k.evaluate(1.25, 1.0) == pytest.approx(3.5, rel=1e-14)
+        assert k.decay(0.25) == pytest.approx(3.5, rel=1e-14)
 
 
 class TestValidation:
@@ -208,7 +242,7 @@ class TestIntegratedIncrements:
         for n in (16, 128, 512):
             grid = TimeGrid.uniform(10.0, n)
             closed = integrated_increments(kernel, params, grid)
-            quad = integrated_increments(kernel, params, grid, method="quadrature")
+            quad = quad_increments(kernel, params, grid)
             scale = np.max(np.abs(closed.L))
             assert np.max(np.abs(closed.L - quad.L)) <= 1e-9 * scale
             assert np.max(np.abs(closed.U - quad.U)) <= 1e-9 * scale
@@ -221,7 +255,7 @@ class TestIntegratedIncrements:
             for n in (16, 128, 512):
                 grid = TimeGrid.uniform(10.0, n)
                 closed = integrated_increments(kernel, params, grid)
-                quad = integrated_increments(kernel, params, grid, method="quadrature")
+                quad = quad_increments(kernel, params, grid)
                 scale = np.max(np.abs(closed.L))
                 assert np.max(np.abs(closed.L - quad.L)) <= 1e-9 * scale
                 assert np.max(np.abs(closed.U - quad.U)) <= 1e-9 * scale
@@ -275,59 +309,74 @@ class TestIntegratedIncrements:
         times = np.concatenate(([0.0], np.sort(np.random.default_rng(n).uniform(0.0, 7.0, 40))))
         closed = [ZeroKernel(), ExponentialKernel(1.3, 0.5), FractionalKernel(0.8, 0.6),
                   BoundedPowerLawKernel(0.5, 2.0), BoundedPowerLawKernel(2.0, 0.3)]
-        quadrature = [TabulatedKernel.from_grid_values(grid, np.exp(-0.4 * grid.t)),
-                      TabulatedKernel(times=times, values=np.exp(-times) + 0.1 * np.sin(times))]
-        for kernel, rtol in [(k, 1e-13) for k in closed] + [(k, 1e-12) for k in quadrature]:
-            got = _cell_values(kernel, dt, n, "auto")
+        tabulated = [TabulatedKernel.from_grid_values(grid, np.exp(-0.4 * grid.t)),
+                     TabulatedKernel(times=times, values=np.exp(-times) + 0.1 * np.sin(times))]
+        for kernel in closed + tabulated:
+            got = _cell_values(kernel, dt, n)
             loop = np.empty(n)
             for m in range(n):
-                a, b = m * dt, (m + 1) * dt
-                value = kernel.cell_integral(a, b)
-                if value is None:
-                    value = quad_integral(kernel.decay, a, b, knots=kernel.quadrature_knots())
-                loop[m] = value
-            np.testing.assert_allclose(got, loop, rtol=rtol, atol=0, err_msg=repr(kernel))
+                loop[m] = kernel.cell_integral(m * dt, (m + 1) * dt)
+            np.testing.assert_allclose(got, loop, rtol=1e-13, atol=0, err_msg=repr(kernel))
 
-    def test_coarse_bounded_power_law_cell_bisected(self):
-        # dt / ell0 = 6 fails the single halving check; bisection recovers the value
-        ell0, beta = 0.5, 2.0
-        want = ell0 * (ell0 ** (1 - beta) - (ell0 + 3.0) ** (1 - beta)) / (beta - 1)
-        got = quad_integral(BoundedPowerLawKernel(ell0, beta).decay, 0.0, 3.0)
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_fractional_quadrature_refuses_singular_cell(self):
-        params = ScenarioParams(q=1, T=2, lam=1, varrho=0)
-        grid = TimeGrid.uniform(2.0, 4)
-        with pytest.raises(NumericError):
-            integrated_increments(FractionalKernel(1.0, 0.55), params, grid,
-                                  method="quadrature")
-
-    def test_closed_method_refuses_tabulated(self):
-        grid = TimeGrid.uniform(2.0, 4)
-        kernel = TabulatedKernel.from_grid_values(grid, np.ones(5))
-        params = ScenarioParams(q=1, T=2, lam=1)
-        with pytest.raises(InputError):
-            integrated_increments(kernel, params, grid, method="closed")
+    @pytest.mark.parametrize("T, n, times, values", [
+        # aligned with the grid; cells far out are ~1e-13 and must keep their digits
+        (10.0, 64, np.linspace(0.0, 10.0, 65), np.exp(-3.0 * np.linspace(0.0, 10.0, 65))),
+        # off-grid knots, several per cell, on a table that ends inside the horizon
+        (6.0, 16, np.concatenate(([0.0], np.sort(np.random.default_rng(5).uniform(0.0, 4.0, 40)))),
+         None),
+        # a short table held constant past its end
+        (6.0, 8, np.array([0.0, 0.3, 0.5]), np.array([2.0, 1.25, 1.0])),
+    ])
+    def test_tabulated_cells_exact(self, T, n, times, values):
+        if values is None:
+            values = 1.0 / (1.0 + times) + 0.2 * np.cos(3.0 * times) ** 2
+        kernel = TabulatedKernel(times=times, values=values)
+        grid = TimeGrid.uniform(T, n)
+        cell = integrated_increments(kernel, ScenarioParams(q=1, T=T, lam=1), grid).cell
+        edges = np.arange(n + 1) * grid.dt
+        moment = kernel.cell_moment(edges[:-1], edges[1:])
+        for m in range(n):
+            want_cell, want_moment = exact_interpolant_integrals(times, values,
+                                                                 edges[m], edges[m + 1])
+            assert abs(float((Fraction(cell[m]) - want_cell) / want_cell)) <= 1e-13, m
+            assert abs(float((Fraction(moment[m]) - want_moment) / want_moment)) <= 1e-13, m
 
 
 class TestGramClosedForms:
+    @staticmethod
+    def gram_entry_oracle(kernel, dt, m):
+        # integral of (dt - |x - m*dt|) * H(x) over the cells beside m*dt,
+        # split at the cell edges and at any table knots inside
+        lo, hi = max(m - 1, 0) * dt, (m + 1) * dt
+        knots = getattr(kernel, "times", np.array([]))
+        points = np.concatenate(([m * dt], knots[(knots > lo) & (knots < hi)]))
+        value = si.quad(lambda x: (dt - abs(x - m * dt)) * float(kernel.decay(x)),
+                        lo, hi, points=points, limit=200, epsabs=0.0, epsrel=1e-13)[0]
+        return 2.0 * value if m == 0 else value
+
     def test_against_adaptive_quadrature(self):
+        # every Gram entry comes from the cell-integral and cell-moment hooks
         dt = 0.37
-        for kernel in [ExponentialKernel(1.3, 0.5), FractionalKernel(0.9, 0.55)]:
-            H = lambda x: float(kernel.decay(x))
-            diag_oracle = si.quad(lambda x: (dt - x) * H(x), 0, dt, points=[0.0])[0]
-            assert kernel.gram_diag(dt) == pytest.approx(diag_oracle, rel=1e-11)
-            for m in (1, 2, 7):
-                oracle = si.quad(lambda x: (dt - abs(x - m * dt)) * H(x),
-                                 (m - 1) * dt, (m + 1) * dt,
-                                 points=[(m - 1) * dt, m * dt], limit=200)[0]
-                assert kernel.gram_off(m, dt) == pytest.approx(oracle, rel=1e-10)
+        times = np.concatenate(([0.0], np.sort(np.random.default_rng(3).uniform(0.0, 2.5, 12))))
+        kernels = [ZeroKernel(), ExponentialKernel(1.3, 0.5), FractionalKernel(0.9, 0.55),
+                   TabulatedKernel(times=times, values=np.exp(-times) * (1.2 + np.sin(4 * times)))]
+        kernels += [BoundedPowerLawKernel(0.6, beta) for beta in
+                    (0.3, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 2.0 - 1e-9, 2.0 + 1e-9, 3.0)]
+        for kernel in kernels:
+            row = _gram_first_row(kernel, dt, 8)
+            for m in (0, 1, 2, 7):
+                oracle = self.gram_entry_oracle(kernel, dt, m)
+                rel = 1e-11 if m == 0 else 1e-10
+                assert row[m] == pytest.approx(oracle, rel=rel), (kernel, m)
 
 
 class TestDefiniteness:
     @pytest.mark.parametrize("n", [16, 64, 256])
     def test_decaying_kernels_nonnegative(self, n):
-        for kernel in ALL_DECAYING + [ZeroKernel()]:
+        # a positive, decreasing, convex table: its interpolant is too
+        times = np.linspace(0.0, 12.0, 37)
+        table = TabulatedKernel(times=times, values=np.exp(-0.3 * times))
+        for kernel in ALL_DECAYING + [ZeroKernel(), table]:
             report = check_nonnegative_definite(kernel, TimeGrid.uniform(10.0, n))
             assert report.nonnegative, (type(kernel).__name__, n, report)
 
