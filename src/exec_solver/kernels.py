@@ -135,13 +135,26 @@ class FractionalKernel(PropagatorKernel):
         return self.c * np.asarray(tau, dtype=float) ** (self.alpha - 1.0)
 
     def cell_integral(self, a, b):
+        # c * (b^alpha - a^alpha) / alpha = c * a^alpha * E(alpha) for a > 0,
+        # with E(p) = expm1(p * r) / p and r = log1p((b - a) / a), so that a
+        # cell far from the origin cancels no digits; c * b^alpha / alpha at a = 0
         al = self.alpha
-        return self.c * (b**al - a**al) / al
+        a, b, log_ratio = self._log_ratio(a, b)
+        return self.c * np.where(a > 0.0, a**al * _expm1_ratio(al, log_ratio), b**al / al)
 
     def cell_moment(self, a, b):
-        al = self.alpha
-        return self.c * ((b ** (al + 1.0) - a ** (al + 1.0)) / (al + 1.0)
-                         - a * (b**al - a**al) / al)
+        # c * a^(alpha + 1) * (E(alpha + 1) - E(alpha)) for a > 0, with E as
+        # in cell_integral; c * b^(alpha + 1) / (alpha + 1) at a = 0
+        p = self.alpha + 1.0
+        a, b, log_ratio = self._log_ratio(a, b)
+        gap = _expm1_ratio(p, log_ratio) - _expm1_ratio(self.alpha, log_ratio)
+        return self.c * np.where(a > 0.0, a**p * gap, b**p / p)
+
+    @staticmethod
+    def _log_ratio(a, b):
+        """a, b as arrays and log1p((b - a) / a), finite but unused where a = 0."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return a, b, np.log1p((b - a) / np.where(a > 0.0, a, 1.0))
 
 
 @dataclass(frozen=True)

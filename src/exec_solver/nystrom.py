@@ -13,10 +13,13 @@ this becomes a unit lower-triangular system solved by forward substitution:
        Levinson-Trench recursion over those nested sections: O(n^2) time
        and O(n) memory besides the rows,
     3. feedback matrix  B[i, j] = (w_i . L_col_j - L[i, j]) / (2*lam) on the
-       strict lower triangle, and source vector
+       strict lower triangle; L is lower Toeplitz, so row i is minus the
+       correlation of the forward Levinson vector with the cell vector, and
+       the recursion of step 2 writes I - B at O(n) cost per row, with no
+       matrix product; and source vector
        a_i = (N[i, i] - w_i . N_col_i) / (2*lam) + (w_i . h~ - h~_i) / (2*lam),
        whose second part does not depend on the signal,
-    4. u = (I - B)^{-1} a by forward substitution.
+    4. u = (I - B)^{-1} a by forward substitution, O(n^2).
 
 The scheme requires a zero running inventory penalty (phi = 0); scenarios
 with phi > 0 are handled by the direct quadratic-program route in
@@ -32,12 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError, NumericError
-from .kernels import (
-    IntegratedIncrements,
-    PropagatorKernel,
-    integrated_increments,
-    lower_toeplitz,
-)
+from .kernels import IntegratedIncrements, PropagatorKernel, integrated_increments
 from .model import ScenarioParams, StrategyPath, TimeGrid, evaluate_objective, rollout
 from .signals import SignalModel, forecast_matrix, price_path, simulate_signal
 
@@ -87,8 +85,8 @@ def _check_pivot(pivot: float, scale: float, step: int):
 
 
 def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
-                  grid: TimeGrid) -> np.ndarray:
-    """All rows w_i = U_i^T D_i^{-1}, shape (n+1, n), in O(n^2) time.
+                  grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """All rows w_i = U_i^T D_i^{-1} and the system I - B, in O(n^2) time.
 
     The increments come from one cell vector on a uniform grid, so
     A = 2*lam*I + (L + U)[:n, :n] is Toeplitz and the trailing block of D_i
@@ -98,25 +96,41 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
     recursion on A^T (Golub & Van Loan, Matrix Computations, 4.7). The
     recursion also carries the backward vector b_m = A_m^{-T} e_m and, to
     keep small rows accurate, the entry w_i[i] = 1 - 2*lam*f_m[0] as a
-    scalar. Row n is zero. Raises NumericError naming the step whose
-    section is singular to working precision.
+    scalar. Row n of W is zero.
+
+    With g = cell + aug, L[k, j] = g[k-1-j] below the diagonal, so the
+    feedback entries B[i, j] = (w_i . L_col_j - L[i, j]) / (2*lam) reduce to
+    -cf[i-1-j], where cf[d] = f_m . g[d:d+m]. The correlations cf and
+    cb[d] = b_m . g[d:d+m] follow the same Levinson step as f_m and b_m
+    (the Schur generator update), so each row of I - B costs O(n) and no
+    product with L is formed; row n is g reversed over 2*lam.
+
+    Returns W, shape (n+1, n), and I - B, shape (n+1, n+1), column-major as
+    LAPACK takes it without a copy. Raises NumericError naming the step
+    whose section is singular to working precision.
     """
     _require_phi_zero(params)
     n = grid.n
     two_lam = 2.0 * params.lam
-    row = inc.cell + inc.aug  # first row of A - 2*lam*I
+    row = inc.cell + inc.aug  # first row of A - 2*lam*I, and g above
     col = np.concatenate((row[:1], row[:-1]))  # its first column
     W = np.zeros((n + 1, n))
+    system = np.zeros((n + 1, n + 1), order="F")
+    system[n, :n] = row[::-1] / two_lam
+    np.fill_diagonal(system, 1.0)
 
     diag = two_lam + col[0]
     _check_pivot(diag, two_lam + abs(col[0]), n - 1)
     # after size m, f[:m] holds f_m and b[n-m:] holds b_m, with zeros
-    # elsewhere, so f[:m+1] is [f_m; 0] and b[n-m-1:] is [0; b_m]
+    # elsewhere, so f[:m+1] is [f_m; 0] and b[n-m-1:] is [0; b_m]; cf and
+    # cb hold their correlations with g at lags 0..n-m-1
     f = np.zeros(n)
     b = np.zeros(n)
     f[0] = b[-1] = 1.0 / diag
     head = col[0] / diag
     W[n - 1, n - 1] = head
+    cf = cb = row[:n - 1] * f[0]
+    system[n - 1, :n - 1] = cf[::-1]
     for m in range(2, n + 1):
         i = n - m
         ef = row[m - 1:0:-1] @ f[:m - 1]
@@ -125,10 +139,12 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
         _check_pivot(pivot, 1.0 + abs(ef * eb), i)
         fz, bz = f[:m], b[i:]
         f[:m], b[i:] = (fz - ef * bz) / pivot, (bz - eb * fz) / pivot
+        cf, cb = (cf[:i] - ef * cb[1:i + 1]) / pivot, (cb[1:i + 1] - eb * cf[:i]) / pivot
         head = (head - ef * eb) / pivot
         W[i, i:] = -two_lam * f[:m]
         W[i, i] = head
-    return W
+        system[i, :i] = cf[::-1]
+    return W, system
 
 
 def solve_speed(a: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -144,10 +160,11 @@ def solve_speed(a: np.ndarray, B: np.ndarray) -> np.ndarray:
 class NystromEngine:
     """Signal-independent precomputation for repeated solves on one scenario.
 
-    Builds once the response rows W, the signal-free offset
-    (W h~ - h~) / (2*lam) of the source vector and the system I - B in
-    column-major order. A realized path then costs one forecast matrix, one
-    contraction with W and one LAPACK forward substitution: O(n^2) work.
+    Builds once, in O(n^2) time, the response rows W and the system I - B
+    in column-major order (both from ``response_rows``), and the
+    signal-free offset (W h~ - h~) / (2*lam) of the source vector. A
+    realized path then costs one forecast matrix, one contraction with W
+    and one LAPACK forward substitution: O(n^2) work.
     Used by the Monte Carlo engine, where only the source vector changes
     from path to path.
     """
@@ -160,20 +177,9 @@ class NystromEngine:
         self.grid = grid
         self.signal = signal
         self.inc = integrated_increments(kernel, params, grid)
-        self.W = W = response_rows(self.inc, params, grid)
-        n, two_lam = grid.n, 2.0 * params.lam
+        self.W, self.system = response_rows(self.inc, params, grid)
         h_tilde = params.h0_values(grid) - 2.0 * params.varrho * params.q
-        self.offset = (W @ h_tilde[:n] - h_tilde) / two_lam
-        # I - B in place, column-major as LAPACK takes it without a copy:
-        # B[i, j] = (w_i . L_col_j - L[i, j]) / (2*lam) below the diagonal
-        L = lower_toeplitz(self.inc.cell + self.inc.aug)
-        system = (L[:n, :].T @ W.T).T
-        system -= L
-        system /= -two_lam
-        for j in range(n + 1):
-            system[:j, j] = 0.0
-            system[j, j] = 1.0
-        self.system = system
+        self.offset = (self.W @ h_tilde[:grid.n] - h_tilde) / (2.0 * params.lam)
 
     def source_vector(self, forecasts: np.ndarray) -> np.ndarray:
         """a_i = (N[i, i] - w_i . N_col_i) / (2*lam) plus the signal-free offset."""

@@ -124,7 +124,7 @@ def simulate_signal(model: SignalModel, grid: TimeGrid, seed: int = 0,
 
     with normals drawn from a counter-based generator keyed by (seed, step),
     so paths are reproducible bit for bit given the seed and independent of
-    how a batch is split up.
+    how a batch is split up. A deterministic path (sigma = 0) draws none.
     """
     if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2**64):
         raise InputError(f"seed must be an integer in [0, 2^64), got {seed!r}")
@@ -145,8 +145,9 @@ def simulate_signal(model: SignalModel, grid: TimeGrid, seed: int = 0,
         out = np.empty((count, npts))
         out[:, 0] = model.I0
         for step in range(grid.n):
-            xi = _step_normals(int(seed), step, count)
-            out[:, step + 1] = out[:, step] * phase + scale * xi
+            out[:, step + 1] = out[:, step] * phase
+            if scale != 0.0:  # a deterministic path draws no normals
+                out[:, step + 1] += scale * _step_normals(int(seed), step, count)
     else:
         raise InputError(f"unknown signal model {type(model).__name__}")
     return out[0] if squeeze else out

@@ -197,6 +197,21 @@ class TestIntegratedIncrements:
             oracle = si.quad(lambda s: 1.4 * (grid.t[k] - s) ** (0.62 - 1), a, b)[0]
             assert inc.L[k, j] == pytest.approx(oracle, rel=1e-10)
 
+    @pytest.mark.parametrize("m", [1, 100, 1000, 4095])
+    def test_fractional_cells_far_from_origin(self, m):
+        # b^alpha - a^alpha cancels more digits the farther the cell lies
+        # from the origin; the log1p/expm1 form keeps cells to a few ulps
+        # and moments to about m ulps
+        kernel = FractionalKernel(c=1.2, alpha=0.55)
+        dt = 10.0 / 4096
+        a, b = m * dt, (m + 1) * dt
+        kw = dict(epsabs=0.0, epsrel=2e-14, limit=200)
+        cell = si.quad(kernel.decay, a, b, **kw)[0]
+        moment = si.quad(lambda x: (x - a) * kernel.decay(x), a, b, **kw)[0]
+        ends = np.array([a]), np.array([b])
+        assert kernel.cell_integral(*ends)[0] == pytest.approx(cell, rel=1e-14, abs=0)
+        assert kernel.cell_moment(*ends)[0] == pytest.approx(moment, rel=1e-11, abs=0)
+
     def test_shift_invariance_convolution(self):
         params = ScenarioParams(q=1, T=5, lam=1, varrho=0.7)
         grid = TimeGrid.uniform(5.0, 10)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,57 @@ def dense_response_rows(inc, params, grid):
     for i in range(n + 1):
         W[i] = np.linalg.solve(dense_curvature(inc, params, grid, i).T, inc.U[i, :n])
     return W
+
+
+def fraction_solve(A, rhs):
+    """Exact solution of A x = rhs over the rationals, by Gauss-Jordan elimination."""
+    n = len(A)
+    M = [list(row) + [r] for row, r in zip(A, rhs)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if M[r][c] != 0)
+        M[c], M[p] = M[p], M[c]
+        for r in range(n):
+            if r != c and M[r][c] != 0:
+                factor = M[r][c] / M[c][c]
+                M[r] = [x - factor * y for x, y in zip(M[r], M[c])]
+    return [M[k][n] / M[k][k] for k in range(n)]
+
+
+def exact_system(inc, params, grid):
+    """I - B in exact arithmetic on the float increments.
+
+    B[i, j] = (w_i . L_col_j - L[i, j]) / (2 lam) below the diagonal, with
+    each w_i from an exact solve of D_i^T w_i = U_i.
+    """
+    n = grid.n
+    two_lam = Fraction(2.0 * params.lam)
+    L = [[Fraction(x) for x in row] for row in inc.L]
+    U = [[Fraction(x) for x in row] for row in inc.U]
+    system = [[Fraction(int(k == j)) for j in range(n + 1)] for k in range(n + 1)]
+    for i in range(n + 1):
+        DT = [[(two_lam if j == k else 0) + (L[j][k] + U[j][k] if min(j, k) >= i else 0)
+               for j in range(n)] for k in range(n)]
+        w = fraction_solve(DT, U[i][:n])
+        for j in range(i):
+            system[i][j] -= (sum(w[k] * L[k][j] for k in range(n)) - L[i][j]) / two_lam
+    return system
+
+
+def dense_system(inc, params, grid):
+    """I - B from dense solves; B[i, :i] = -(D_i^{-T} e_i) . L[:n, :i] for i < n.
+
+    Since w_i = e_i - 2 lam D_i^{-T} e_i, this is the formula
+    (w_i . L_col_j - L[i, j]) / (2 lam) without its cancellation; row n is
+    L[n] / (2 lam).
+    """
+    n, two_lam = grid.n, 2.0 * params.lam
+    L = inc.L
+    system = np.eye(n + 1)
+    system[n, :n] = L[n, :n] / two_lam
+    for i in range(n):
+        f = np.linalg.solve(dense_curvature(inc, params, grid, i).T, np.eye(n)[i])
+        system[i, :i] = f @ L[:n, :i]
+    return system
 
 
 def increments_from_cells(cell, dt=1.0):
@@ -145,7 +198,7 @@ class TestCurvature:
         # w_i . f is U_i . D_i^{-1} f for any right-hand side f
         grid = TimeGrid.uniform(10, 10)
         inc = integrated_increments(exp_kernel, fig1_params, grid)
-        W = response_rows(inc, fig1_params, grid)
+        W, _ = response_rows(inc, fig1_params, grid)
         for i in (0, 4, 9, 10):
             D = dense_curvature(inc, fig1_params, grid, i)
             f = rng.normal(size=(10, 3))
@@ -187,7 +240,7 @@ class TestResponse:
         params = ScenarioParams(q=10, T=10, lam=0.5, varrho=0)
         grid = TimeGrid.uniform(10, 6)
         inc = integrated_increments(ZeroKernel(), params, grid)
-        W = response_rows(inc, params, grid)
+        W, _ = response_rows(inc, params, grid)
         assert np.all(W == 0.0)
         for i in (0, 3, 6):
             assert W[i] @ rng.normal(size=6) == 0.0
@@ -195,7 +248,7 @@ class TestResponse:
     def test_zero_rhs(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10, 6)
         inc = integrated_increments(exp_kernel, fig1_params, grid)
-        W = response_rows(inc, fig1_params, grid)
+        W, _ = response_rows(inc, fig1_params, grid)
         assert np.any(W[2] != 0.0)
         assert W[2] @ np.zeros(6) == 0.0
 
@@ -205,7 +258,7 @@ class TestResponse:
         grid = TimeGrid.uniform(4, 4)
         kernel = ExponentialKernel(1.0, 0.5)
         inc = integrated_increments(kernel, params, grid)
-        got = float(response_rows(inc, params, grid)[0] @ np.ones(4))
+        got = float(response_rows(inc, params, grid)[0][0] @ np.ones(4))
         D = dense_curvature(inc, params, grid, 0)
         want = float(inc.U[0, :4] @ np.linalg.solve(D, np.ones(4)))
         assert got == pytest.approx(want, abs=1e-12)
@@ -213,7 +266,7 @@ class TestResponse:
     def test_rows_match_dense_transposed_solves(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10, 12)
         inc = integrated_increments(exp_kernel, fig1_params, grid)
-        W = response_rows(inc, fig1_params, grid)
+        W, _ = response_rows(inc, fig1_params, grid)
         assert np.allclose(W, dense_response_rows(inc, fig1_params, grid),
                            rtol=1e-12, atol=1e-13)
         assert np.all(W[12] == 0.0)
@@ -226,7 +279,7 @@ class TestResponse:
         grid = TimeGrid.uniform(T, n)
         kernel = data.draw(admissible_kernels(grid))
         inc = integrated_increments(kernel, params, grid)
-        W = response_rows(inc, params, grid)
+        W, _ = response_rows(inc, params, grid)
         ref = dense_response_rows(inc, params, grid)
         for i in range(n + 1):
             scale = np.max(np.abs(ref[i]))
@@ -276,6 +329,48 @@ class TestFeedbackMatrix:
                 want = (inc.U[i, :4] @ np.linalg.solve(D, inc.L[:4, j]) - inc.L[i, j]) / 1.0
                 assert B[i, j] == pytest.approx(want, abs=1e-12)
                 assert B[i, j] != 0.0
+
+
+class TestSystem:
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("lam", [0.5, 0.01])
+    @pytest.mark.parametrize("varrho", [0.0, 4.0])
+    def test_matches_exact_reference(self, n, lam, varrho):
+        params = ScenarioParams(q=10, T=10, lam=lam, varrho=varrho)
+        grid = TimeGrid.uniform(10, n)
+        for kernel in (FractionalKernel(1.0, 0.55), ExponentialKernel(1.0, 0.5),
+                       BoundedPowerLawKernel(0.5, 1.5)):
+            inc = integrated_increments(kernel, params, grid)
+            _, system = response_rows(inc, params, grid)
+            assert system.flags.f_contiguous
+            exact = exact_system(inc, params, grid)
+            for k in range(n + 1):
+                for j in range(n + 1):
+                    want = exact[k][j]
+                    if want == 0:
+                        assert system[k, j] == 0.0, (kernel, k, j)
+                    else:
+                        rel = abs(float((Fraction(system[k, j]) - want) / want))
+                        assert rel <= 1e-13, (kernel, k, j, rel)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 64), varrho=st.floats(0.0, 10.0),
+           lam=st.floats(0.05, 5.0), T=st.floats(0.5, 20.0))
+    def test_matches_dense_reference_property(self, data, n, varrho, lam, T):
+        params = ScenarioParams(q=10, T=T, lam=lam, varrho=varrho)
+        grid = TimeGrid.uniform(T, n)
+        kernel = data.draw(admissible_kernels(grid))
+        inc = integrated_increments(kernel, params, grid)
+        _, system = response_rows(inc, params, grid)
+        ref = dense_system(inc, params, grid)
+        # the recursion is accurate to about eps times the condition number
+        # of the curvature matrix: 1e-13 of the row up to a condition number
+        # of 1000, growing with it beyond (a small lam under a large varrho)
+        kappa = np.linalg.cond(dense_curvature(inc, params, grid, 0))
+        tol = 1e-13 * max(1.0, kappa / 1000.0)
+        for i in range(n + 1):
+            scale = np.max(np.abs(ref[i]))
+            assert np.max(np.abs(system[i] - ref[i])) <= tol * scale, (kernel, i, kappa)
 
 
 class TestSourceVector:

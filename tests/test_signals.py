@@ -15,6 +15,7 @@ from exec_solver import (
     price_path,
     simulate_signal,
 )
+import exec_solver.signals as signals_mod
 
 
 class TestSimulation:
@@ -50,6 +51,31 @@ class TestSimulation:
         batch = simulate_signal(model, grid, seed=3, n_paths=5)
         assert batch.shape == (5, 9)
         assert np.array_equal(batch[0], single)
+
+    def test_deterministic_path_draws_no_normals(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("a path with sigma = 0 drew normals")
+
+        monkeypatch.setattr(signals_mod, "_step_normals", forbidden)
+        grid = TimeGrid.uniform(4.0, 8)
+        model = OUSignal(I0=2.0, gamma=0.3, sigma=0.0)
+        phase, _ = signals_mod._ou_step_coeffs(model, grid.dt)
+        want = [2.0]
+        for _ in range(8):
+            want.append(want[-1] * phase)
+        assert np.array_equal(simulate_signal(model, grid, seed=3, n_paths=4), np.tile(want, (4, 1)))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5])
+    def test_noisy_path_follows_step_normals(self, gamma):
+        # the explicit recurrence over the (seed, step) draws, bit for bit
+        grid = TimeGrid.uniform(4.0, 8)
+        model = OUSignal(I0=1.0, gamma=gamma, sigma=0.8)
+        phase, scale = signals_mod._ou_step_coeffs(model, grid.dt)
+        want = np.empty((5, 9))
+        want[:, 0] = 1.0
+        for step in range(8):
+            want[:, step + 1] = want[:, step] * phase + scale * signals_mod._step_normals(3, step, 5)
+        assert np.array_equal(simulate_signal(model, grid, seed=3, n_paths=5), want)
 
     def test_monte_carlo_mean_matches_decay(self):
         grid = TimeGrid.uniform(4.0, 16)
