@@ -13,8 +13,10 @@ Config files are flat ``key = value`` text with section prefixes::
     signal.type = ou
 
 Unknown keys are rejected. Scenario defaults are q=10, T=10, lambda=0.5,
-varrho=4, phi=0, h0=0 with a zero kernel and no signal. Floats are written
-with full round-trip precision so re-ingesting an emitted path.csv
+varrho=4, phi=0, h0=0 with a zero kernel and no signal. Command-line flags
+override keys without editing the text, and every point of a sweep or
+compare run is built while parsing, before any file is written. Floats are
+written with full round-trip precision so re-ingesting an emitted path.csv
 reproduces the reported objective exactly.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric error.
@@ -26,7 +28,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -97,9 +99,23 @@ _SWEEPABLE = {
 _MODES = ("solve", "sweep", "compare", "mc")
 
 
+@dataclass(frozen=True, eq=False)
+class RunCase:
+    """One solve of a sweep or compare run: a swept value or a kernel type."""
+
+    label: str
+    file_name: str
+    scenario: ScenarioParams
+    kernel: PropagatorKernel
+    signal: SignalModel
+
+
 @dataclass(eq=False)
 class RunConfig:
-    """Fully validated run description built from a config file."""
+    """Fully validated run description built from a config file.
+
+    ``cases`` holds every solve of a sweep or compare run, already built.
+    """
 
     mode: str
     output_dir: Path
@@ -108,20 +124,18 @@ class RunConfig:
     scenario: ScenarioParams
     kernel: PropagatorKernel
     signal: SignalModel
-    sweep_param: str | None = None
-    sweep_values: tuple[float, ...] = ()
-    compare_kernels: tuple[str, ...] = ()
+    cases: tuple[RunCase, ...] = ()
     mc_n_paths: int = 0
     mc_strategies: tuple[str, ...] = ()
-    raw: dict = field(default_factory=dict, repr=False)
-    base_dir: Path = Path(".")
 
     @property
     def grid(self) -> TimeGrid:
         return TimeGrid.uniform(self.scenario.T, self.n)
 
 
-def _parse_pairs(text: str) -> dict[str, tuple[str, int]]:
+def _parse_pairs(text: str, overrides: dict[str, str]) -> dict[str, tuple[str, str]]:
+    """Map each key to its value and where it was set: a line of the text,
+    or an override, which replaces the text's own value."""
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -136,24 +150,28 @@ def _parse_pairs(text: str) -> dict[str, tuple[str, int]]:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in pairs:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        pairs[key] = (value, lineno)
+        pairs[key] = (value, f"line {lineno}")
+    for key, value in overrides.items():
+        if key not in _KNOWN_KEYS or not value:
+            raise ConfigError(f"override {key} = {value!r}: unknown key or empty value")
+        pairs[key] = (value, f"override {key}")
     return pairs
 
 
 def _get_float(kv, key):
-    value, lineno = kv[key]
+    value, where = kv[key]
     try:
         return float(value)
     except ValueError:
-        raise ConfigError(f"line {lineno}: key {key!r} needs a number, got {value!r}") from None
+        raise ConfigError(f"{where}: key {key!r} needs a number, got {value!r}") from None
 
 
 def _get_int(kv, key):
-    value, lineno = kv[key]
+    value, where = kv[key]
     try:
         return int(value)
     except ValueError:
-        raise ConfigError(f"line {lineno}: key {key!r} needs an integer, got {value!r}") from None
+        raise ConfigError(f"{where}: key {key!r} needs an integer, got {value!r}") from None
 
 
 def _read_vector_csv(path: Path) -> np.ndarray:
@@ -186,7 +204,7 @@ def _resolve(base_dir: Path, value: str) -> Path:
     return p if p.is_absolute() else base_dir / p
 
 
-def _build_scenario(kv, base_dir: Path, grid_n: int) -> ScenarioParams:
+def _build_scenario(kv, base_dir: Path) -> ScenarioParams:
     if "scenario.h0_csv" in kv:
         h0 = _read_vector_csv(_resolve(base_dir, kv["scenario.h0_csv"][0]))
     else:
@@ -204,8 +222,8 @@ def _build_scenario(kv, base_dir: Path, grid_n: int) -> ScenarioParams:
         raise ConfigError(f"infeasible scenario parameters: {exc}") from exc
 
 
-def _build_kernel(kv, base_dir: Path, grid: TimeGrid, kind: str | None = None) -> PropagatorKernel:
-    kind = kind if kind is not None else kv["kernel.type"][0]
+def _build_kernel(kv, base_dir: Path, grid: TimeGrid) -> PropagatorKernel:
+    kind = kv["kernel.type"][0]
     try:
         if kind == "zero":
             return ZeroKernel()
@@ -251,17 +269,71 @@ def _build_signal(kv, base_dir: Path, grid: TimeGrid) -> SignalModel:
     raise ConfigError(f"unknown signal.type {kind!r}")
 
 
-def parse_config(text: str, base_dir: Path | str = ".") -> RunConfig:
-    """Parse and fully validate config text; raises ConfigError on any issue."""
+def _build_models(kv, base_dir: Path, n: int):
+    """Scenario, kernel and signal of one solve on the n-step grid."""
+    scenario = _build_scenario(kv, base_dir)
+    grid = TimeGrid.uniform(scenario.T, n)
+    kernel = _build_kernel(kv, base_dir, grid)
+    signal = _build_signal(kv, base_dir, grid)
+    if scenario.phi != 0.0:
+        raise ConfigError(
+            "scenario.phi > 0 is outside the grid solver's domain; use the "
+            "quadratic-program oracle API (exec_solver.oracle) for phi > 0"
+        )
+    return scenario, kernel, signal
+
+
+def _build_cases(kv, base_dir: Path, n: int, mode: str) -> tuple[RunCase, ...]:
+    """Every solve of a sweep or compare run: the config with one key replaced."""
+    if mode == "sweep":
+        if "sweep.param" not in kv or "sweep.values" not in kv:
+            raise ConfigError("mode = sweep requires sweep.param and sweep.values")
+        param = kv["sweep.param"][0]
+        if param not in _SWEEPABLE:
+            raise ConfigError(
+                f"sweep.param {param!r} is not sweepable; choose one of "
+                f"{', '.join(sorted(_SWEEPABLE))}"
+            )
+        try:
+            values = [float(v) for v in kv["sweep.values"][0].split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"sweep.values must be a comma list of numbers: {exc}") from exc
+        where = kv["sweep.values"][1]
+        points = [(param, _fmt(v), f"path_{param.replace('.', '_')}_{_fname_token(v)}.csv")
+                  for v in values]
+    else:
+        if "compare.kernels" not in kv:
+            raise ConfigError("mode = compare requires compare.kernels")
+        where = kv["compare.kernels"][1]
+        points = [("kernel.type", kind, f"path_{_fname_token(kind)}.csv")
+                  for kind in (k.strip() for k in kv["compare.kernels"][0].split(","))]
+    cases = []
+    for key, value, file_name in points:
+        try:
+            models = _build_models({**kv, key: (value, where)}, base_dir, n)
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {mode} point {key} = {value}: {exc}") from exc
+        cases.append(RunCase(value, file_name, *models))
+    return tuple(cases)
+
+
+def parse_config(text: str, base_dir: Path | str = ".",
+                 overrides: dict[str, str] | None = None) -> RunConfig:
+    """Parse and fully validate config text; raises ConfigError on any fault.
+
+    ``overrides`` maps config keys to values that replace the text's own.
+    Relative CSV paths resolve against ``base_dir``. Every solve of a sweep
+    or compare run is built here, so a bad point fails before any output.
+    """
     base_dir = Path(base_dir)
-    kv = _parse_pairs(text)
+    kv = _parse_pairs(text, overrides or {})
 
     missing = [key for key in _REQUIRED if key not in kv]
     if missing:
         raise ConfigError(f"missing required keys: {', '.join(sorted(missing))}")
 
     for key, value in _DEFAULTS.items():
-        kv.setdefault(key, (value, 0))
+        kv.setdefault(key, (value, "default"))
 
     mode = kv["mode"][0]
     if mode not in _MODES:
@@ -274,45 +346,10 @@ def parse_config(text: str, base_dir: Path | str = ".") -> RunConfig:
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
-    scenario = _build_scenario(kv, base_dir, n)
-    grid = TimeGrid.uniform(scenario.T, n)
-    kernel = _build_kernel(kv, base_dir, grid)
-    signal = _build_signal(kv, base_dir, grid)
+    cfg = RunConfig(mode, Path(kv["output_dir"][0]), seed, n, *_build_models(kv, base_dir, n))
 
-    if scenario.phi != 0.0:
-        raise ConfigError(
-            "scenario.phi > 0 is outside the grid solver's domain; use the "
-            "quadratic-program oracle API (exec_solver.oracle) for phi > 0"
-        )
-
-    cfg = RunConfig(mode=mode, output_dir=Path(kv["output_dir"][0]), seed=seed, n=n,
-                    scenario=scenario, kernel=kernel, signal=signal,
-                    raw={k: v for k, (v, _) in kv.items()}, base_dir=base_dir)
-
-    if mode == "sweep":
-        if "sweep.param" not in kv or "sweep.values" not in kv:
-            raise ConfigError("mode = sweep requires sweep.param and sweep.values")
-        param = kv["sweep.param"][0]
-        if param not in _SWEEPABLE:
-            raise ConfigError(
-                f"sweep.param {param!r} is not sweepable; choose one of "
-                f"{', '.join(sorted(_SWEEPABLE))}"
-            )
-        try:
-            values = tuple(float(v) for v in kv["sweep.values"][0].split(","))
-        except ValueError as exc:
-            raise ConfigError(f"sweep.values must be a comma list of numbers: {exc}") from exc
-        if not values:
-            raise ConfigError("sweep.values is empty")
-        cfg.sweep_param = param
-        cfg.sweep_values = values
-    elif mode == "compare":
-        if "compare.kernels" not in kv:
-            raise ConfigError("mode = compare requires compare.kernels")
-        kinds = tuple(k.strip() for k in kv["compare.kernels"][0].split(","))
-        for kind in kinds:
-            _build_kernel(kv, base_dir, grid, kind=kind)  # validate early
-        cfg.compare_kernels = kinds
+    if mode in ("sweep", "compare"):
+        cfg.cases = _build_cases(kv, base_dir, n, mode)
     elif mode == "mc":
         if "mc.n_paths" not in kv:
             raise ConfigError("mode = mc requires mc.n_paths")
@@ -328,13 +365,13 @@ def parse_config(text: str, base_dir: Path | str = ".") -> RunConfig:
     return cfg
 
 
-def load_config(path: Path | str) -> RunConfig:
+def load_config(path: Path | str, overrides: dict[str, str] | None = None) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text, base_dir=path.parent)
+    return parse_config(text, base_dir=path.parent, overrides=overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +417,6 @@ def _fname_token(value) -> str:
     return str(value).replace(".", "p").replace("-", "m").replace("/", "_")
 
 
-def _param_token(name: str) -> str:
-    return name.replace(".", "_")
-
-
 def _run_solve(cfg: RunConfig, out: Path) -> list[Path]:
     sol = solve_scenario_detail(cfg.scenario, cfg.kernel, cfg.signal, cfg.grid, cfg.seed)
     return [
@@ -392,41 +425,23 @@ def _run_solve(cfg: RunConfig, out: Path) -> list[Path]:
     ]
 
 
-def _run_sweep(cfg: RunConfig, out: Path) -> list[Path]:
+_SUMMARY_HEADERS = {"sweep": ["param", "u0", "Q_T", "total"],
+                    "compare": ["kernel", "u0", "Q_T", "Z_T", "total"]}
+
+
+def _run_cases(cfg: RunConfig, out: Path) -> list[Path]:
+    # every case draws the signal path from the same seed, so compare's
+    # kernels all trade against one realized path
+    header = _SUMMARY_HEADERS[cfg.mode]
     files = []
     summary = []
-    grid = cfg.grid
-    for value in cfg.sweep_values:
-        kv = {k: (v, 0) for k, v in cfg.raw.items()}
-        kv[cfg.sweep_param] = (_fmt(value), 0)
-        scenario = _build_scenario(kv, cfg.base_dir, cfg.n)
-        kernel = _build_kernel(kv, cfg.base_dir, grid)
-        signal = _build_signal(kv, cfg.base_dir, grid)
-        sol = solve_scenario_detail(scenario, kernel, signal, grid, cfg.seed)
-        name = f"path_{_param_token(cfg.sweep_param)}_{_fname_token(value)}.csv"
-        files.append(_write_path_csv(out, name, sol, grid))
+    for case in cfg.cases:
+        sol = solve_scenario_detail(case.scenario, case.kernel, case.signal, cfg.grid, cfg.seed)
+        files.append(_write_path_csv(out, case.file_name, sol, cfg.grid))
         sp = sol.path
-        summary.append((value, sp.u[0], sp.Q[-1], sp.objective.total))
-    files.append(_write_csv(out / "summary.csv", ["param", "u0", "Q_T", "total"], summary))
-    return files
-
-
-def _run_compare(cfg: RunConfig, out: Path) -> list[Path]:
-    from .signals import simulate_signal
-
-    files = []
-    summary = []
-    kv = {k: (v, 0) for k, v in cfg.raw.items()}
-    path = simulate_signal(cfg.signal, cfg.grid, cfg.seed)
-    for kind in cfg.compare_kernels:
-        kernel = _build_kernel(kv, cfg.base_dir, cfg.grid, kind=kind)
-        sol = solve_scenario_detail(cfg.scenario, kernel, cfg.signal, cfg.grid,
-                                    cfg.seed, signal_path=path)
-        files.append(_write_path_csv(out, f"path_{_fname_token(kind)}.csv", sol, cfg.grid))
-        sp = sol.path
-        summary.append((kind, sp.u[0], sp.Q[-1], sp.Z[-1], sp.objective.total))
-    files.append(_write_csv(out / "summary.csv",
-                            ["kernel", "u0", "Q_T", "Z_T", "total"], summary))
+        values = {"u0": sp.u[0], "Q_T": sp.Q[-1], "Z_T": sp.Z[-1], "total": sp.objective.total}
+        summary.append([case.label] + [values[column] for column in header[1:]])
+    files.append(_write_csv(out / "summary.csv", header, summary))
     return files
 
 
@@ -445,12 +460,18 @@ def _run_mc(cfg: RunConfig, out: Path) -> list[Path]:
 
 
 def run(cfg: RunConfig) -> list[Path]:
-    """Execute a validated config; returns the list of files written."""
+    """Execute a validated config; returns the list of files written.
+
+    An output directory that cannot be created or written is a ConfigError.
+    """
     out = cfg.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    runner = {"solve": _run_solve, "sweep": _run_sweep,
-              "compare": _run_compare, "mc": _run_mc}[cfg.mode]
-    return runner(cfg, out)
+    runner = {"solve": _run_solve, "sweep": _run_cases,
+              "compare": _run_cases, "mc": _run_mc}[cfg.mode]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        return runner(cfg, out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output_dir {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -473,28 +494,10 @@ def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("EXEC_SOLVER_LOG", "WARNING").upper(),
                         format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
+    flags = {"mode": args.mode, "output_dir": args.out, "seed": args.seed, "grid.n": args.grid_n}
+    overrides = {key: str(value) for key, value in flags.items() if value is not None}
     try:
-        cfg_path = Path(args.config)
-        text = cfg_path.read_text(encoding="utf-8")
-        overrides = []
-        if args.mode:
-            overrides.append(("mode", args.mode))
-        if args.out:
-            overrides.append(("output_dir", args.out))
-        if args.seed is not None:
-            overrides.append(("seed", str(args.seed)))
-        if args.grid_n is not None:
-            overrides.append(("grid.n", str(args.grid_n)))
-        for key, value in overrides:
-            # flags win over config keys: append after stripping the original
-            text = "\n".join(line for line in text.splitlines()
-                             if line.split("#", 1)[0].split("=", 1)[0].strip() != key)
-            text += f"\n{key} = {value}\n"
-        cfg = parse_config(text, base_dir=cfg_path.parent)
-        files = run(cfg)
-    except OSError as exc:
-        print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
-        return 2
+        files = run(load_config(args.config, overrides))
     except (ConfigError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

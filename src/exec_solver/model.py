@@ -175,15 +175,13 @@ def _check_paths(grid: TimeGrid, **arrays: np.ndarray):
 def inventory_path(u: np.ndarray, q: float, dt: float) -> np.ndarray:
     """Inventory by the exact left-endpoint recurrence Q_{i+1} = Q_i - u_i dt.
 
-    The loop runs over time on the transpose, so one path steps through
-    scalars and a batch updates all its paths with one row operation.
+    One running difference over [q, u_0 dt, ..., u_{n-1} dt] on the last
+    axis, for one path or a batch, rounds exactly like the recurrence.
     """
-    ut = u.T
-    Q = np.empty(ut.shape)
-    Q[0] = q
-    for i in range(ut.shape[0] - 1):
-        Q[i + 1] = Q[i] - ut[i] * dt
-    return np.ascontiguousarray(Q.T)
+    steps = np.empty(u.shape)
+    steps[..., 0] = q
+    np.multiply(u[..., :-1], dt, out=steps[..., 1:])
+    return np.subtract.accumulate(steps, axis=-1)
 
 
 def rollout(u: np.ndarray, params: ScenarioParams, grid: TimeGrid, kernel,

@@ -203,13 +203,10 @@ class NystromEngine:
                                "double precision")
         return u
 
-    def speed_for_path(self, signal_path: np.ndarray, with_source: bool = False):
+    def speed_for_path(self, signal_path: np.ndarray) -> np.ndarray:
+        """Optimal speeds for one realized path: the Monte Carlo rule."""
         forecasts = forecast_matrix(self.signal, signal_path, self.grid)
-        a = self.source_vector(forecasts)
-        u = self._speeds(a)
-        if with_source:
-            return u, a, np.diag(forecasts).copy()
-        return u
+        return self._speeds(self.source_vector(forecasts))
 
     def speeds_for_paths(self, signal_paths: np.ndarray) -> np.ndarray:
         """Optimal speeds for a batch of realized paths, shape (n_paths, n+1)."""
@@ -242,11 +239,12 @@ def solve_scenario_detail(params: ScenarioParams, kernel: PropagatorKernel,
     engine = NystromEngine(params, kernel, grid, signal)
     if signal_path is None:
         signal_path = simulate_signal(signal, grid, seed)
-    u, a, nu_diag = engine.speed_for_path(signal_path, with_source=True)
-    strat = rollout(u, params, grid, kernel, signal_values=signal_path)
+    forecasts = forecast_matrix(signal, signal_path, grid)
+    a = engine.source_vector(forecasts)
+    strat = rollout(engine._speeds(a), params, grid, kernel, signal_values=signal_path)
     breakdown = evaluate_objective(strat, params, grid, price_path(signal_path, grid))
     return ScenarioSolution(path=replace(strat, objective=breakdown),
-                            source=a, forecast_diag=nu_diag)
+                            source=a, forecast_diag=np.diag(forecasts).copy())
 
 
 def solve_scenario(params: ScenarioParams, kernel: PropagatorKernel,

@@ -84,7 +84,9 @@ class TestParsing:
         s = cfg.scenario
         assert (s.q, s.T, s.lam, s.varrho, s.phi) == (10.0, 10.0, 0.5, 4.0, 0.0)
         assert np.all(s.h0_values(cfg.grid) == 0.0)
-        assert cfg.compare_kernels == ("zero", "exponential", "fractional")
+        assert [case.label for case in cfg.cases] == ["zero", "exponential", "fractional"]
+        assert [type(case.kernel).__name__ for case in cfg.cases] == [
+            "ZeroKernel", "ExponentialKernel", "FractionalKernel"]
 
     def test_defaults_mirror_benchmark_scenario(self):
         cfg = parse_config("mode = solve\noutput_dir = out\n")
@@ -113,6 +115,37 @@ class TestParsing:
             parse_config("mode = mc\noutput_dir = out\n")
         with pytest.raises(ConfigError, match="compare.kernels"):
             parse_config("mode = compare\noutput_dir = out\n")
+
+    def test_sweep_and_compare_points_built_at_parse_time(self):
+        text = ("mode = sweep\noutput_dir = out\nkernel.type = fractional\n"
+                "sweep.param = kernel.alpha\nsweep.values = 0.6, 0.75\n")
+        cfg = parse_config(text)
+        assert [(c.label, c.file_name, c.kernel.alpha) for c in cfg.cases] == [
+            ("0.6", "path_kernel_alpha_0p6.csv", 0.6),
+            ("0.75", "path_kernel_alpha_0p75.csv", 0.75)]
+        cfg = parse_config("mode = compare\noutput_dir = out\n"
+                           "compare.kernels = zero, exponential\n")
+        assert [c.file_name for c in cfg.cases] == ["path_zero.csv", "path_exponential.csv"]
+
+    def test_invalid_sweep_value_names_its_line(self):
+        text = ("mode = sweep\noutput_dir = out\nkernel.type = fractional\n"
+                "sweep.param = kernel.alpha\nsweep.values = 0.6, 0.7, 0.3\n")
+        with pytest.raises(ConfigError, match="line 5: sweep point kernel.alpha = 0.3: infeasible"):
+            parse_config(text)
+
+    def test_unknown_compare_kernel_rejected(self):
+        text = "mode = compare\noutput_dir = out\ncompare.kernels = zero, warp\n"
+        with pytest.raises(ConfigError, match="line 3: compare point kernel.type = warp"):
+            parse_config(text)
+
+    def test_overrides_replace_config_keys(self):
+        text = "mode = solve\noutput_dir = out\ngrid.n = 48\nseed = 2\n"
+        cfg = parse_config(text, overrides={"grid.n": "24", "output_dir": "elsewhere"})
+        assert (cfg.n, cfg.seed, cfg.output_dir) == (24, 2, Path("elsewhere"))
+        with pytest.raises(ConfigError, match="override grid.n: .*needs an integer"):
+            parse_config(text, overrides={"grid.n": "many"})
+        with pytest.raises(ConfigError, match="unknown key or empty value"):
+            parse_config(text, overrides={"grid.m": "24"})
 
     def test_unsweepable_parameter_rejected(self):
         text = ("mode = sweep\noutput_dir = out\n"
@@ -243,6 +276,32 @@ class TestMain:
         code = main(["--config", str(tmp_path / "nope.cfg")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_invalid_sweep_value_exits_2_before_any_output(self, tmp_path, capsys):
+        # the first two points are valid: none of them may be solved or written
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"mode = sweep\noutput_dir = {tmp_path / 'o'}\ngrid.n = 16\n"
+                       "kernel.type = fractional\nsweep.param = kernel.alpha\n"
+                       "sweep.values = 0.6, 0.7, 0.3\n")
+        assert main(["--config", str(cfg)]) == 2
+        assert "kernel.alpha = 0.3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_error_under_grid_n_flag_cites_the_file_line(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"mode = solve\noutput_dir = {tmp_path / 'o'}\ngrid.n = 48\n"
+                       "kernel.type = exponential\nkernel.rho = fast\n")
+        assert main(["--config", str(cfg), "--grid-n", "24"]) == 2
+        assert "line 5: key 'kernel.rho'" in capsys.readouterr().err
+
+    def test_output_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(SOLVE_CFG.format(out=tmp_path / "afile"))
+        (tmp_path / "afile").write_text("not a directory\n")
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output_dir {tmp_path / 'afile'}")
+        assert "cannot read" not in err
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

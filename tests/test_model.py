@@ -107,10 +107,13 @@ class TestRollout:
 
     def test_inventory_recurrence_is_exact(self, fig1_params, rng):
         grid = TimeGrid.uniform(10, 23)
-        u = rng.normal(size=24)
-        path = rollout(u, fig1_params, grid, ZeroKernel())
-        for i in range(23):
-            assert path.Q[i + 1] == path.Q[i] - u[i] * grid.dt
+        for shape in [(24,), (3, 24)]:  # one path and a batch
+            u = rng.normal(size=shape)
+            path = rollout(u, fig1_params, grid, ZeroKernel())
+            assert path.Q.shape == shape and path.Q.flags.c_contiguous
+            assert np.all(path.Q[..., 0] == fig1_params.q)
+            for i in range(23):
+                assert np.all(path.Q[..., i + 1] == path.Q[..., i] - u[..., i] * grid.dt)
 
     def test_exponential_distortion_quadrature_oracle(self):
         # constant unit speed: Z at t_2 equals the time integral of the kernel,
