@@ -1,6 +1,6 @@
 """Optimal liquidation under transient propagator impact with predictive signals.
 
-A numpy/scipy library that computes the explicit optimal trading speed for
+A numpy library that computes the explicit optimal trading speed for
 linear-quadratic liquidation with a Volterra transient-impact kernel,
 temporary impact and an optional mean-reverting signal, via a grid
 discretization of the governing integral equation, cross-validated by an

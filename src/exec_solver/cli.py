@@ -309,6 +309,9 @@ def _build_cases(kv, base_dir: Path, n: int, mode: str) -> tuple[RunCase, ...]:
                   for kind in (k.strip() for k in kv["compare.kernels"][0].split(","))]
     cases = []
     for key, value, file_name in points:
+        # a repeated point would solve twice and overwrite its own file
+        if any(case.file_name == file_name for case in cases):
+            raise ConfigError(f"{where}: repeated {mode} point {key} = {value}")
         try:
             models = _build_models({**kv, key: (value, where)}, base_dir, n)
         except ConfigError as exc:
@@ -381,23 +384,27 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: Path, header: list[str], rows) -> Path:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+def _write_lines(path: Path, lines: list[str]) -> Path:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     log.info("wrote %s", path)
     return path
 
 
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+    return _write_lines(path, lines)
+
+
 def _write_path_csv(out: Path, name: str, solution, grid: TimeGrid) -> Path:
     sp = solution.path
-    rows = [
-        (str(i), grid.t[i], sp.I[i], solution.forecast_diag[i], solution.source[i],
-         sp.u[i], sp.Q[i], sp.Z[i])
-        for i in range(grid.n + 1)
-    ]
-    return _write_csv(out / name, ["i", "t", "I", "nu_tt", "a", "u", "Q", "Z"], rows)
+    # tolist() yields Python floats, whose repr is _fmt of the same doubles
+    table = np.column_stack((grid.t, sp.I, solution.forecast_diag, solution.source,
+                             sp.u, sp.Q, sp.Z)).tolist()
+    lines = ["i,t,I,nu_tt,a,u,Q,Z"]
+    lines += [f"{i},{','.join(map(repr, row))}" for i, row in enumerate(table)]
+    return _write_lines(out / name, lines)
 
 
 def _write_breakdown_csv(out: Path, name: str, breakdown) -> Path:

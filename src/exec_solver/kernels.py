@@ -25,10 +25,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, NumericError
-from .model import ScenarioParams, TimeGrid, require_finite
+from .model import ScenarioParams, TimeGrid, require_finite, toeplitz
 
 __all__ = [
     "PropagatorKernel",
@@ -276,7 +275,7 @@ class TabulatedKernel(PropagatorKernel):
 def lower_toeplitz(diagonals: np.ndarray) -> np.ndarray:
     """(n+1, n+1) strictly lower Toeplitz matrix with diagonals[m] on sub-diagonal m+1."""
     first_col = np.concatenate(([0.0], diagonals))
-    return scipy.linalg.toeplitz(first_col, np.zeros(first_col.size))
+    return toeplitz(first_col, np.zeros(first_col.size))
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,7 +386,7 @@ def check_nonnegative_definite(kernel: PropagatorKernel, grid: TimeGrid,
     """
     n, dt = grid.n, grid.dt
     row = _gram_first_row(kernel, dt, n)
-    gram = scipy.linalg.toeplitz(row)
+    gram = toeplitz(row, row)
     eigs = np.linalg.eigvalsh(gram)
     min_eig = float(eigs[0])
     norm = float(np.max(np.abs(eigs)))

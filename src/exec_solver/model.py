@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, NumericError
 
@@ -37,6 +38,16 @@ def require_finite(obj, *names):
         value = getattr(obj, name)
         if not math.isfinite(value):
             raise InputError(f"{type(obj).__name__} needs a finite {name}, got {value}")
+
+
+def toeplitz(col: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Toeplitz matrix T[k, j] = row[j - k] for j >= k and col[k - j] below.
+
+    Row k is a window of [col[:0:-1], row]; the windows are copied into a
+    fresh row-major array. col[0] is not read: row[0] is the diagonal.
+    """
+    line = np.concatenate((col[:0:-1], row))
+    return sliding_window_view(line, row.size)[::-1].copy()
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, ModelError, NumericError
 from .kernels import IntegratedIncrements, PropagatorKernel
@@ -129,9 +128,8 @@ def solve_qp(qp: DiscreteQuadraticProgram) -> np.ndarray:
     n = qp.n
     Ha, ba = qp.active()
     try:
-        chol = scipy.linalg.cho_factor(-Ha)
-        u_act = scipy.linalg.cho_solve(chol, ba)
-    except scipy.linalg.LinAlgError as exc:
+        u_act = np.linalg.solve(-Ha, ba)
+    except np.linalg.LinAlgError as exc:
         raise NumericError(f"QP factorization failed: {exc}") from exc
 
     residual = np.linalg.norm(Ha @ u_act + ba)

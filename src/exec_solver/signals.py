@@ -19,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, UnsupportedSignalError
-from .model import TimeGrid, require_finite
+from .model import TimeGrid, require_finite, toeplitz
 
 __all__ = [
     "SignalModel",
@@ -87,7 +86,8 @@ class TabulatedSignal(SignalModel):
             raise InputError("tabulated signal values must be finite")
         object.__setattr__(self, "values", values)
         if self.forecast is not None:
-            fc = np.asarray(self.forecast, dtype=float)
+            # column-major, like the OU forecasts: the solver reads columns
+            fc = np.asarray(self.forecast, dtype=float, order="F")
             m = values.shape[0]
             if fc.shape != (m, m):
                 raise InputError(
@@ -165,7 +165,7 @@ def forecast_matrix(model: SignalModel, path: np.ndarray, grid: TimeGrid) -> np.
     with e_m and s_k as in the module docstring. The product form takes no
     difference of exponentials: it keeps full relative accuracy as gamma -> 0
     and overflows for no gamma T. Tabulated signals must carry a
-    user-supplied forecast matrix.
+    user-supplied forecast matrix. Every forecast matrix is column-major.
     """
     n, dt = grid.n, grid.dt
     path = np.asarray(path, dtype=float)
@@ -173,7 +173,7 @@ def forecast_matrix(model: SignalModel, path: np.ndarray, grid: TimeGrid) -> np.
         raise InputError(f"signal path has shape {path.shape}, expected ({n + 1},)")
 
     if isinstance(model, ZeroSignal):
-        return np.zeros((n + 1, n + 1))
+        return np.zeros((n + 1, n + 1), order="F")
     if isinstance(model, TabulatedSignal):
         if model.forecast is None:
             raise UnsupportedSignalError(
@@ -194,10 +194,13 @@ def forecast_matrix(model: SignalModel, path: np.ndarray, grid: TimeGrid) -> np.
         decay, scale = np.ones(n + 1), t_rel
     else:
         decay, scale = np.exp(-g * dt * np.arange(n + 1)), np.expm1(g * t_rel) / g
-    N = scipy.linalg.toeplitz(decay, np.zeros(n + 1))  # decay[k - j], zero for j > k
-    N *= scale[:, None]
-    N *= path
-    return N
+    # built as the row-major transpose N^T[j, k] = e_{k-j} * s_k * I_j, so
+    # that N is column-major: the solver contracts each column of N with a
+    # row of its response matrix
+    NT = toeplitz(np.zeros(n + 1), decay)
+    NT *= scale
+    NT *= path[:, None]
+    return NT.T
 
 
 def price_path(signal_values: np.ndarray, grid: TimeGrid) -> np.ndarray:

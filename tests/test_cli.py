@@ -287,6 +287,22 @@ class TestMain:
         assert "kernel.alpha = 0.3" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("keys, repeated", [
+        ("kernel.type = fractional\nsweep.param = kernel.alpha\nsweep.values = 0.6, 0.60, 0.7",
+         "line 5: repeated sweep point kernel.alpha = 0.6"),
+        ("compare.kernels = zero, zero", "line 3: repeated compare point kernel.type = zero"),
+    ], ids=["sweep", "compare"])
+    def test_repeated_point_exits_2_before_any_output(self, tmp_path, capsys, keys, repeated):
+        mode = "sweep" if "sweep" in keys else "compare"
+        text = f"mode = {mode}\noutput_dir = {tmp_path / 'o'}\n{keys}\n"
+        with pytest.raises(ConfigError, match=repeated):
+            parse_config(text)
+        cfg = tmp_path / "repeat.cfg"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg)]) == 2
+        assert repeated in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_error_under_grid_n_flag_cites_the_file_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"mode = solve\noutput_dir = {tmp_path / 'o'}\ngrid.n = 48\n"
@@ -365,6 +381,35 @@ class TestMain:
         assert main(["--config", str(cfg)]) == 0
         _, rows = read_csv(tmp_path / "o" / "path.csv")
         assert len(rows) == 3 and np.all(np.isfinite(np.array(rows, dtype=float)))
+
+    def test_every_mode_runs_without_scipy(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+        loaded = subprocess.run(
+            [sys.executable, "-c", "import sys, exec_solver; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert loaded.returncode == 0 and loaded.stdout.strip() == "[]"
+        configs = {
+            "solve": "grid.n = 16\nkernel.type = fractional\nsignal.type = ou",
+            "sweep": "grid.n = 16\nkernel.type = exponential\n"
+                     "sweep.param = kernel.rho\nsweep.values = 0.5, 1",
+            "compare": "grid.n = 16\ncompare.kernels = zero, exponential, fractional, "
+                       "bounded_power_law",
+            "mc": "grid.n = 16\nkernel.type = exponential\nsignal.type = ou\nmc.n_paths = 8",
+        }
+        paths = []
+        for mode, keys in configs.items():
+            cfg = tmp_path / f"{mode}.cfg"
+            cfg.write_text(f"mode = {mode}\noutput_dir = {tmp_path / mode}\n{keys}\n")
+            paths.append(str(cfg))
+        # a None entry in sys.modules makes every import of scipy fail
+        script = ("import sys; sys.modules['scipy'] = None; from exec_solver import cli; "
+                  "print([cli.main(['--config', c]) for c in sys.argv[1:]])")
+        done = subprocess.run([sys.executable, "-c", script, *paths],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0]"
 
     def test_fast_mean_reversion_solves_silently(self, tmp_path):
         # gamma T = 1000: a difference of exponentials overflows exp() above the diagonal

@@ -342,7 +342,7 @@ class TestSystem:
                        BoundedPowerLawKernel(0.5, 1.5)):
             inc = integrated_increments(kernel, params, grid)
             _, system = response_rows(inc, params, grid)
-            assert system.flags.f_contiguous
+            assert system.flags.c_contiguous
             exact = exact_system(inc, params, grid)
             for k in range(n + 1):
                 for j in range(n + 1):
@@ -450,6 +450,23 @@ class TestEngine:
                 np.testing.assert_allclose(row, single, rtol=1e-13,
                                            atol=1e-13 * np.max(np.abs(single)))
 
+    @pytest.mark.parametrize("size", [3, nystrom_mod._BLOCK - 1, nystrom_mod._BLOCK,
+                                      nystrom_mod._BLOCK + 1, 2 * nystrom_mod._BLOCK + 1])
+    def test_blocked_substitution_matches_dense_solve(self, size, fig1_params, frac_kernel, rng):
+        # around the block edges: one padded block, one exact block, and full
+        # blocks followed by a block of one row
+        grid = TimeGrid.uniform(10.0, size - 1)
+        engine = NystromEngine(fig1_params, frac_kernel, grid, ZeroSignal())
+        B = np.eye(size) - engine.system
+        one = rng.normal(size=size)
+        u = engine._speeds(one)
+        want = solve_speed(one, B)
+        assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
+        batch = rng.normal(size=(4, size))
+        for a, u in zip(batch, engine._speeds(batch)):
+            want = solve_speed(a, B)
+            assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_holds_rows_and_one_system_matrix(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10.0, 16)
         engine = NystromEngine(fig1_params, exp_kernel, grid, ZeroSignal())
@@ -458,18 +475,20 @@ class TestEngine:
         square = [k for k, v in held.items() if v.shape == (17, 17)]
         assert len(square) == 1
         system = held[square[0]]
-        assert system is engine.system and system.flags.f_contiguous
+        assert system is engine.system and system.flags.c_contiguous
         # B[i, j] = (w_i . L[:n, j] - L[i, j]) / (2 lam) below the diagonal
         L = engine.inc.L
         B = np.tril(engine.W @ L[:16] - L, k=-1) / (2.0 * fig1_params.lam)
         np.testing.assert_allclose(system, np.eye(17) - B, rtol=1e-13, atol=0)
 
-    def test_failed_substitution_raises(self, fig1_params, exp_kernel, monkeypatch):
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_failed_substitution_raises(self, fig1_params, exp_kernel):
+        # a finite source whose speeds overflow double precision
         grid = TimeGrid.uniform(10.0, 8)
         engine = NystromEngine(fig1_params, exp_kernel, grid, ZeroSignal())
-        monkeypatch.setattr(nystrom_mod, "_trtrs", lambda a, b, **kw: (b, -2))
-        with pytest.raises(NumericError, match="forward substitution"):
-            engine.speed_for_path(np.zeros(9))
+        with pytest.raises(NumericError, match="non-finite optimal speeds"):
+            engine._speeds(np.full(9, 1e308))
 
 
 class TestSolveSpeed:
