@@ -10,13 +10,15 @@ this becomes a unit lower-triangular system solved by forward substitution:
        uniform grid the trailing block is the leading (n-i) section of one
        Toeplitz matrix 2*lam*I + (L + U)[:n, :n],
     2. response rows  w_i = U_i^T D_i^{-1}, all n of them from one
-       Levinson-Trench recursion over those nested sections: O(n^2) time
-       and O(n) memory besides the rows,
+       Levinson-Trench recursion over those nested sections, run in Schur
+       form: each step reads its two reflection coefficients from carried
+       generator rows and applies one 2x2 update to them, with no inner
+       product; O(n^2) time and O(n) memory besides the rows,
     3. feedback matrix  B[i, j] = (w_i . L_col_j - L[i, j]) / (2*lam) on the
        strict lower triangle; L is lower Toeplitz, so row i is minus the
-       correlation of the forward Levinson vector with the cell vector, and
-       the recursion of step 2 writes I - B at O(n) cost per row, with no
-       matrix product; and source vector
+       correlation of the forward Levinson vector with the cell vector,
+       which the generator rows of step 2 carry: each row of I - B is one
+       O(n) copy, with no matrix product; and source vector
        a_i = (N[i, i] - w_i . N_col_i) / (2*lam) + (w_i . h~ - h~_i) / (2*lam),
        whose second part does not depend on the signal,
     4. u = (I - B)^{-1} a by blocked forward substitution, O(n^2): the
@@ -98,17 +100,32 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
     is its leading section A_m, m = n - i. The restricted U_i is
     A_m^T e_1 - 2*lam*e_1, hence w_i = e_1 - 2*lam*f_m on indices >= i,
     where f_m = A_m^{-T} e_1 is the forward vector of the Levinson-Trench
-    recursion on A^T (Golub & Van Loan, Matrix Computations, 4.7). The
-    recursion also carries the backward vector b_m = A_m^{-T} e_m and, to
-    keep small rows accurate, the entry w_i[i] = 1 - 2*lam*f_m[0] as a
-    scalar. Row n of W is zero.
+    recursion on A^T (Golub & Van Loan, Matrix Computations, 4.7), run here
+    in its Schur form. The recursion also carries the backward vector
+    b_m = A_m^{-T} e_m and, to keep small rows accurate, the entry
+    w_i[i] = 1 - 2*lam*f_m[0] as a scalar. Row n of W is zero.
 
     With g = cell + aug, L[k, j] = g[k-1-j] below the diagonal, so the
     feedback entries B[i, j] = (w_i . L_col_j - L[i, j]) / (2*lam) reduce to
-    -cf[i-1-j], where cf[d] = f_m . g[d:d+m]. The correlations cf and
-    cb[d] = b_m . g[d:d+m] follow the same Levinson step as f_m and b_m
-    (the Schur generator update), so each row of I - B costs O(n) and no
-    product with L is formed; row n is g reversed over 2*lam.
+    -cf[i-1-j], where cf[d] = f_m . g[d:d+m]; row n of I - B is g reversed
+    over 2*lam. No product with L is formed.
+
+    Each side keeps one generator row over the positions P = -(n-1)..n-1:
+    [cf reversed | f_m | Rf] and [cb reversed | b_m | Rb], with
+    cb[d] = b_m . g[d:d+m] and the residuals Rf[j] = sum_t g[j-t] f_m[t],
+    Rb[j] = sum_t g[j-t] b_m[t] for j >= m. Both rows are the products of
+    A^T, extended as a Toeplitz matrix to all integer indices, with f_m and
+    b_m padded by zeros, except on 0..m-1, where the product is a unit
+    vector and the row holds the vector itself. So the step from m to m+1
+    finds its two reflection coefficients in these rows, ef = Rf[m] and
+    eb = cb[0], and takes no inner product. With those two entries zeroed
+    (they become the zero appended to f_m and the zero prepended to b_m),
+    the new f row is (f row - ef * b row) / (1 - ef*eb) and the new b row
+    (b row - eb * f row) / (1 - ef*eb), where the b row is shifted one
+    place right (position P takes its entry at P - 1): one 2x2 matrix
+    applied to both rows. The entries at P >= 0 are
+    carried times -2*lam, which the update preserves, so row i of W and
+    row i of I - B are plain copies of the new f row.
 
     Returns W, shape (n+1, n), and I - B, shape (n+1, n+1), both row-major,
     so that each step writes contiguous rows. Raises NumericError naming
@@ -118,49 +135,54 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
     n = grid.n
     two_lam = 2.0 * params.lam
     row = inc.cell + inc.aug  # first row of A - 2*lam*I, and g above
-    col = np.concatenate((row[:1], row[:-1]))  # its first column
     W = np.zeros((n + 1, n))
     system = np.zeros((n + 1, n + 1))
     system[n, :n] = row[::-1] / two_lam
     np.fill_diagonal(system, 1.0)
 
-    diag = float(two_lam + col[0])
-    _check_pivot(diag, two_lam + abs(col[0]), n - 1)
-    # After size m, x = [f_m, cf reversed] and y[s:s+n] = [b_m, cb reversed],
-    # where cf and cb hold the correlations with g at lags 0..n-m-1. Then
-    # x[t] and y[s+t] are the pairs one Levinson step combines, so a step
-    # is one in-place update of two length-n vectors. It appends a zero to
-    # f_m in the slot of the cf entry it drops, and prepends the zero below
-    # y[s] to b_m by moving s one place left; the cb entry it drops falls
-    # off the end. x[m:] is cf reversed: row n - m of I - B.
-    x = np.empty(n)
-    y = np.zeros(2 * n)
-    x[0] = y[n] = 1.0 / diag
-    x[1:] = y[n + 1:] = row[n - 2::-1] * x[0]
-    s = n
-    head = float(col[0]) / diag
+    diag = float(two_lam + row[0])
+    _check_pivot(diag, two_lam + abs(row[0]), n - 1)
+    # Two ping-pong states, each (2, width) with the f row over the b row;
+    # column zero + P holds position P. Read through its flat buffer from
+    # offset 1 as (2, width - 1), a state pairs f[P] with b[P - 1], so one
+    # matmul of that fixed skew view writes positions -(n-2)..n-1 of the
+    # other state. Position -(n-1) goes stale, and one more each step: the
+    # rows of I - B still to come are shorter by one each step.
+    width, zero = 2 * n - 1, n - 1
+    states = np.zeros((2, 2, width))
+    inv = 1.0 / diag
+    states[0, :, :zero] = row[n - 2::-1] * inv
+    states[0, :, zero] = -two_lam * inv
+    states[0, :, zero + 1:] = row[1:] * (-two_lam * inv)
+    steps = []
+    for k in (0, 1):
+        flat = states[k].reshape(-1)
+        skew = flat[1:2 * width - 1].reshape(2, width - 1)
+        skew.flags.writeable = False
+        steps.append((flat, skew, states[1 - k, :, 1:], states[1 - k, 0]))
+    coef = np.empty(4)
+    update = coef.reshape(2, 2)
+    head = float(row[0]) / diag
     W[n - 1, n - 1] = head
-    system[n - 1, :n - 1] = x[1:]
-    rev = row[::-1].copy()  # contiguous, so that the dot below is one BLAS call
+    system[n - 1, :zero] = states[0, 0, :zero]
     for m in range(2, n + 1):
         i = n - m
-        ef = float(rev[i:n - 1] @ x[:m - 1])
-        eb = float(col[1:m] @ y[s:s + m - 1])
+        flat, skew, out, f = steps[m & 1]
+        ef = flat.item(zero + m - 1) / -two_lam  # Rf[m-1], carried times -2*lam
+        eb = flat.item(width + zero - 1)  # cb[0]
         pivot = 1.0 - ef * eb
         _check_pivot(pivot, 1.0 + abs(ef * eb), i)
-        x[m - 1] = 0.0
-        s -= 1
-        ys = y[s:s + n]
-        # x, ys = (x - ef * ys) / pivot, (ys - eb * x) / pivot, in place
-        t = eb * x
-        np.subtract(ys, t, out=t)
-        x -= ef * ys
-        x /= pivot
-        np.divide(t, pivot, out=ys)
+        flat[zero + m - 1] = 0.0  # the zero appended to f_{m-1}
+        flat[width + zero - 1] = 0.0  # paired with f[0]: the zero prepended to b_{m-1}
+        r = 1.0 / pivot
+        coef[0] = coef[3] = r
+        coef[1] = -ef * r
+        coef[2] = -eb * r
+        np.matmul(update, skew, out=out)
         head = (head - ef * eb) / pivot
-        np.multiply(x[:m], -two_lam, out=W[i, i:])
+        W[i, i:] = f[zero:zero + m]
         W[i, i] = head
-        system[i, :i] = x[m:]
+        system[i, :i] = f[zero - i:zero]
     return W, system
 
 

@@ -285,12 +285,14 @@ class TestResponse:
             scale = np.max(np.abs(ref[i]))
             assert np.max(np.abs(W[i] - ref[i])) <= 1e-10 * scale, (kernel, i)
 
-    def test_singular_leading_section_names_step(self):
-        # 2 lam = 1 and cells (1, 4): the 2x2 section [[2, 4], [1, 2]] is singular
-        inc = increments_from_cells([1.0, 4.0, 0.5])
-        params = ScenarioParams(q=1, T=3, lam=0.5)
-        grid = TimeGrid.uniform(3, 3)
-        with pytest.raises(NumericError, match="step 1 "):
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_singular_leading_section_names_step(self, n):
+        # 2 lam = 1 and cells (1, 4, ...): the 2x2 section [[2, 4], [1, 2]] is
+        # singular, and it completes at step n - 2
+        inc = increments_from_cells([1.0, 4.0] + [0.5] * (n - 2))
+        params = ScenarioParams(q=1, T=n, lam=0.5)
+        grid = TimeGrid.uniform(n, n)
+        with pytest.raises(NumericError, match=f"step {n - 2} "):
             response_rows(inc, params, grid)
 
 
@@ -567,6 +569,19 @@ class TestScenario:
             sols[n] = solve_scenario(fig1_params, exp_kernel, ZeroSignal(), grid).u
         gaps = [np.max(np.abs(sols[2 * n][::2] - sols[n])) for n in (64, 128, 256)]
         assert gaps[0] > gaps[1] > gaps[2]
+
+    @pytest.mark.parametrize("kernel", [FractionalKernel(c=1.0, alpha=0.55),
+                                        ExponentialKernel(c=1.0, rho=0.5)],
+                             ids=["fractional", "exponential"])
+    def test_objective_converges_at_first_order(self, fig1_params, kernel):
+        # no signal: the objective converges at first order in dt, the check
+        # that still holds on grids far beyond the dense references
+        objectives = [solve_scenario(fig1_params, kernel, ZeroSignal(),
+                                     TimeGrid.uniform(10, n)).objective.total
+                      for n in (250, 500, 1000, 2000)]
+        gaps = np.diff(objectives)
+        orders = np.log2(gaps[:-1] / gaps[1:])
+        assert np.all(np.abs(orders - 1.0) <= 0.05), orders
 
     def test_early_speed_ordering_fractional_vs_exponential(self, fig1_params):
         # a tenth of the way into the horizon the fractional strategy is

@@ -65,17 +65,44 @@ class TestSimulation:
             want.append(want[-1] * phase)
         assert np.array_equal(simulate_signal(model, grid, seed=3, n_paths=4), np.tile(want, (4, 1)))
 
+    @pytest.mark.parametrize("gamma", [0.3, 1e-13, 0.0, 5.0])
+    @pytest.mark.parametrize("n", [2, 200, 1000])
+    @pytest.mark.parametrize("n_paths", [None, 3])
+    def test_deterministic_path_matches_recurrence(self, gamma, n, n_paths):
+        # the explicit one-step recurrence, bit for bit
+        grid = TimeGrid.uniform(4.0, n)
+        model = OUSignal(I0=2.0, gamma=gamma, sigma=0.0)
+        phase, _ = signals_mod._ou_step_coeffs(model, grid.dt)
+        want = np.empty(n + 1)
+        want[0] = 2.0
+        for step in range(n):
+            want[step + 1] = want[step] * phase
+        got = simulate_signal(model, grid, seed=3, n_paths=n_paths)
+        assert np.array_equal(got, want if n_paths is None else np.tile(want, (n_paths, 1)))
+
     @pytest.mark.parametrize("gamma", [0.0, 0.5])
     def test_noisy_path_follows_step_normals(self, gamma):
         # the explicit recurrence over the (seed, step) draws, bit for bit
         grid = TimeGrid.uniform(4.0, 8)
         model = OUSignal(I0=1.0, gamma=gamma, sigma=0.8)
         phase, scale = signals_mod._ou_step_coeffs(model, grid.dt)
+        draw = signals_mod._step_normals(3)
         want = np.empty((5, 9))
         want[:, 0] = 1.0
         for step in range(8):
-            want[:, step + 1] = want[:, step] * phase + scale * signals_mod._step_normals(3, step, 5)
+            want[:, step + 1] = want[:, step] * phase + scale * draw(step, 5)
         assert np.array_equal(simulate_signal(model, grid, seed=3, n_paths=5), want)
+
+    @pytest.mark.parametrize("seed", [3, 2**64 - 1])
+    def test_step_normals_match_fresh_generators(self, seed):
+        # re-keying one generator draws what a fresh Philox keyed by
+        # (seed, step) draws, in any step order and for any count
+        draw = signals_mod._step_normals(seed)
+        for step in [*range(50), 7, 0, 2**40]:
+            for count in (1, 2000):
+                fresh = np.random.Generator(np.random.Philox(
+                    key=np.array([seed, step], dtype=np.uint64)))
+                assert np.array_equal(draw(step, count), fresh.standard_normal(count))
 
     def test_monte_carlo_mean_matches_decay(self):
         grid = TimeGrid.uniform(4.0, 16)
