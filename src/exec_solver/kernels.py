@@ -125,11 +125,6 @@ class FractionalKernel(PropagatorKernel):
                 f"fractional kernel needs alpha in (1/2, 1), got {self.alpha}"
             )
 
-    @classmethod
-    def from_beta(cls, c: float, beta: float) -> "FractionalKernel":
-        """Construct from the decay exponent beta = 1 - alpha in (0, 1/2)."""
-        return cls(c=c, alpha=1.0 - beta)
-
     def decay(self, tau):
         return self.c * np.asarray(tau, dtype=float) ** (self.alpha - 1.0)
 

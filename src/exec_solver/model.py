@@ -72,8 +72,15 @@ class ScenarioParams:
 
     def __post_init__(self):
         require_finite(self, "q", "T", "lam", "varrho", "phi")
-        if not np.all(np.isfinite(self.h0)):
+        try:
+            h0 = np.asarray(self.h0, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"h0 must be a number or a vector, got {self.h0!r}") from exc
+        if h0.ndim > 1:
+            raise InputError("tabulated h0 must be a 1-d vector of grid values")
+        if not np.all(np.isfinite(h0)):
             raise InputError("initial distortion h0 must be finite")
+        object.__setattr__(self, "h0", float(h0) if h0.ndim == 0 else h0)
         if not self.T > 0:
             raise InputError(f"horizon T must be > 0, got {self.T}")
         if not self.lam > 0:
@@ -82,18 +89,14 @@ class ScenarioParams:
             raise InputError(f"terminal penalty varrho must be >= 0, got {self.varrho}")
         if self.phi < 0:
             raise InputError(f"running penalty phi must be >= 0, got {self.phi}")
-        if isinstance(self.h0, np.ndarray) and self.h0.ndim != 1:
-            raise InputError("tabulated h0 must be a 1-d vector of grid values")
 
     def h0_values(self, grid: TimeGrid) -> np.ndarray:
         """Initial distortion evaluated on the grid, shape (n+1,)."""
-        if isinstance(self.h0, np.ndarray):
-            if self.h0.shape != (grid.n + 1,):
-                raise InputError(
-                    f"tabulated h0 has {self.h0.shape[0]} values, grid needs {grid.n + 1}"
-                )
-            return self.h0.astype(float)
-        return np.full(grid.n + 1, float(self.h0))
+        if isinstance(self.h0, np.ndarray) and self.h0.shape != (grid.n + 1,):
+            raise InputError(
+                f"tabulated h0 has {self.h0.shape[0]} values, grid needs {grid.n + 1}"
+            )
+        return np.full(grid.n + 1, self.h0)
 
 
 @dataclass(frozen=True)

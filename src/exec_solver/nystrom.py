@@ -17,8 +17,8 @@ this becomes a unit lower-triangular system solved by forward substitution:
     3. feedback matrix  B[i, j] = (w_i . L_col_j - L[i, j]) / (2*lam) on the
        strict lower triangle; L is lower Toeplitz, so row i is minus the
        correlation of the forward Levinson vector with the cell vector,
-       which the generator rows of step 2 carry: each row of I - B is one
-       O(n) copy, with no matrix product; and source vector
+       which the generator row of step 2 carries next to w_i: one O(n) copy
+       of that row packs w_i and row i of I - B; and source vector
        a_i = (N[i, i] - w_i . N_col_i) / (2*lam) + (w_i . h~ - h~_i) / (2*lam),
        whose second part does not depend on the signal,
     4. u = (I - B)^{-1} a by blocked forward substitution, O(n^2): the
@@ -92,8 +92,8 @@ def _check_pivot(pivot: float, scale: float, step: int):
 
 
 def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
-                  grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """All rows w_i = U_i^T D_i^{-1} and the system I - B, in O(n^2) time.
+                  grid: TimeGrid) -> np.ndarray:
+    """All rows w_i = U_i^T D_i^{-1} and the system I - B, packed, in O(n^2) time.
 
     The increments come from one cell vector on a uniform grid, so
     A = 2*lam*I + (L + U)[:n, :n] is Toeplitz and the trailing block of D_i
@@ -103,12 +103,10 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
     recursion on A^T (Golub & Van Loan, Matrix Computations, 4.7), run here
     in its Schur form. The recursion also carries the backward vector
     b_m = A_m^{-T} e_m and, to keep small rows accurate, the entry
-    w_i[i] = 1 - 2*lam*f_m[0] as a scalar. Row n of W is zero.
-
-    With g = cell + aug, L[k, j] = g[k-1-j] below the diagonal, so the
-    feedback entries B[i, j] = (w_i . L_col_j - L[i, j]) / (2*lam) reduce to
-    -cf[i-1-j], where cf[d] = f_m . g[d:d+m]; row n of I - B is g reversed
-    over 2*lam. No product with L is formed.
+    w_i[i] = 1 - 2*lam*f_m[0] as a scalar. With g = cell + aug,
+    L[k, j] = g[k-1-j] below the diagonal, so the feedback entries
+    B[i, j] = (w_i . L_col_j - L[i, j]) / (2*lam) reduce to -cf[i-1-j],
+    where cf[d] = f_m . g[d:d+m]; row n of I - B is g reversed over 2*lam.
 
     Each side keeps one generator row over the positions P = -(n-1)..n-1:
     [cf reversed | f_m | Rf] and [cb reversed | b_m | Rb], with
@@ -123,22 +121,21 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
     the new f row is (f row - ef * b row) / (1 - ef*eb) and the new b row
     (b row - eb * f row) / (1 - ef*eb), where the b row is shifted one
     place right (position P takes its entry at P - 1): one 2x2 matrix
-    applied to both rows. The entries at P >= 0 are
-    carried times -2*lam, which the update preserves, so row i of W and
-    row i of I - B are plain copies of the new f row.
+    applied to both rows. The entries at P >= 0 are carried times -2*lam,
+    which the update preserves.
 
-    Returns W, shape (n+1, n), and I - B, shape (n+1, n+1), both row-major,
-    so that each step writes contiguous rows. Raises NumericError naming
-    the step whose section is singular to working precision.
+    Returns W and I - B packed in one row-major (n+1, n) array: row i is the
+    new f row over positions -i..n-1-i, one contiguous copy, with w_i[i] on
+    the diagonal; row n is row n of I - B (row n of W is zero), and the last
+    column of I - B, the unit vector e_n, is implicit. Raises NumericError
+    naming the step whose section is singular to working precision.
     """
     _require_phi_zero(params)
     n = grid.n
     two_lam = 2.0 * params.lam
     row = inc.cell + inc.aug  # first row of A - 2*lam*I, and g above
-    W = np.zeros((n + 1, n))
-    system = np.zeros((n + 1, n + 1))
-    system[n, :n] = row[::-1] / two_lam
-    np.fill_diagonal(system, 1.0)
+    rows = np.empty((n + 1, n))
+    rows[n] = row[::-1] / two_lam
 
     diag = float(two_lam + row[0])
     _check_pivot(diag, two_lam + abs(row[0]), n - 1)
@@ -163,27 +160,26 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
     coef = np.empty(4)
     update = coef.reshape(2, 2)
     head = float(row[0]) / diag
-    W[n - 1, n - 1] = head
-    system[n - 1, :zero] = states[0, 0, :zero]
-    for m in range(2, n + 1):
+    f = states[0, 0]
+    for m in range(1, n + 1):
         i = n - m
-        flat, skew, out, f = steps[m & 1]
-        ef = flat.item(zero + m - 1) / -two_lam  # Rf[m-1], carried times -2*lam
-        eb = flat.item(width + zero - 1)  # cb[0]
-        pivot = 1.0 - ef * eb
-        _check_pivot(pivot, 1.0 + abs(ef * eb), i)
-        flat[zero + m - 1] = 0.0  # the zero appended to f_{m-1}
-        flat[width + zero - 1] = 0.0  # paired with f[0]: the zero prepended to b_{m-1}
-        r = 1.0 / pivot
-        coef[0] = coef[3] = r
-        coef[1] = -ef * r
-        coef[2] = -eb * r
-        np.matmul(update, skew, out=out)
-        head = (head - ef * eb) / pivot
-        W[i, i:] = f[zero:zero + m]
-        W[i, i] = head
-        system[i, :i] = f[zero - i:zero]
-    return W, system
+        if m > 1:
+            flat, skew, out, f = steps[m & 1]
+            ef = flat.item(zero + m - 1) / -two_lam  # Rf[m-1], carried times -2*lam
+            eb = flat.item(width + zero - 1)  # cb[0]
+            pivot = 1.0 - ef * eb
+            _check_pivot(pivot, 1.0 + abs(ef * eb), i)
+            flat[zero + m - 1] = 0.0  # the zero appended to f_{m-1}
+            flat[width + zero - 1] = 0.0  # paired with f[0]: the zero prepended to b_{m-1}
+            r = 1.0 / pivot
+            coef[0] = coef[3] = r
+            coef[1] = -ef * r
+            coef[2] = -eb * r
+            np.matmul(update, skew, out=out)
+            head = (head - ef * eb) / pivot
+        rows[i] = f[zero - i:zero + m]
+        rows[i, i] = head
+    return rows
 
 
 def solve_speed(a: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -198,24 +194,23 @@ def solve_speed(a: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.linalg.solve(np.eye(B.shape[0]) - B, a)
 
 
-def _diagonal_block_inverses(system: np.ndarray) -> np.ndarray:
-    """Inverses of the diagonal blocks of a unit lower-triangular matrix.
+def _diagonal_block_inverses(rows: np.ndarray) -> np.ndarray:
+    """Inverses of the diagonal blocks of I - B, packed in ``rows``.
 
-    Blocks have k = min(_BLOCK, the next power of two >= size) rows, and
+    Blocks have k = min(_BLOCK, the next power of two >= n+1) rows, and
     the last one is padded with the identity; returns shape (blocks, k, k).
     All blocks are inverted together by recursive doubling: with the
     diagonal halves A and D of a 2s-block already inverted,
     [[A, 0], [C, D]]^{-1} is the same block with C replaced by
     -D^{-1} C A^{-1}, so each level is one batched matmul pair.
     """
-    size = system.shape[0]
+    size = rows.shape[0]
     k = min(_BLOCK, 1 << (size - 1).bit_length())
     blocks = np.zeros((-(-size // k), k, k))
     for b, r0 in enumerate(range(0, size, k)):
-        m = min(k, size - r0)
-        blocks[b, :m, :m] = system[r0:r0 + m, r0:r0 + m]
-    pad = np.arange(m, k)
-    blocks[-1, pad, pad] = 1.0
+        block = np.tril(rows[r0:r0 + k, r0:r0 + k], -1)
+        blocks[b, :block.shape[0], :block.shape[1]] = block
+    blocks[:, range(k), range(k)] = 1.0
     s = 1
     while s < k:
         half = k // (2 * s)
@@ -232,38 +227,42 @@ def _diagonal_block_inverses(system: np.ndarray) -> np.ndarray:
 class NystromEngine:
     """Signal-independent precomputation for repeated solves on one scenario.
 
-    Builds once, in O(n^2) time, the response rows W and the system I - B
-    (both row-major, from ``response_rows``), the inverses of the diagonal
-    blocks of I - B, stacked in ``block_inverses``, and the signal-free
-    offset (W h~ - h~) / (2*lam) of the source vector. A realized path then
-    costs one forecast matrix, one contraction with W and one blocked
-    forward substitution: O(n^2) work. A batch of paths takes the same
-    substitution with matrix products in place of matrix-vector products.
-    Used by the Monte Carlo engine, where only the source vector changes
-    from path to path.
+    Builds once, in O(n^2) time, W and I - B packed in ``rows`` (from
+    ``response_rows``), the inverses of the diagonal blocks of I - B in
+    ``block_inverses`` and the signal-free offset (W h~ - h~) / (2*lam) of
+    the source vector. A realized path then costs one forecast matrix, one
+    contraction with W and one blocked forward substitution: O(n^2) work; a
+    batch of paths takes matrix products in place of matrix-vector products.
+    Used by the Monte Carlo engine, where only the source changes per path.
     """
 
     def __init__(self, params: ScenarioParams, kernel: PropagatorKernel,
                  grid: TimeGrid, signal: SignalModel):
-        _require_phi_zero(params)
         self.params = params
         self.kernel = kernel
         self.grid = grid
         self.signal = signal
         self.inc = integrated_increments(kernel, params, grid)
-        self.W, self.system = response_rows(self.inc, params, grid)
-        self.block_inverses = _diagonal_block_inverses(self.system)
+        self.rows = response_rows(self.inc, params, grid)
+        self.block_inverses = _diagonal_block_inverses(self.rows)
         h_tilde = params.h0_values(grid) - 2.0 * params.varrho * params.q
-        self.offset = (self.W @ h_tilde[:grid.n] - h_tilde) / (2.0 * params.lam)
+        # W h~ over blocks of rows of W, never a full (n+1)^2 temporary
+        w_h = np.concatenate([np.triu(self.rows[r0:r0 + _BLOCK, r0:]) @ h_tilde[r0:-1]
+                              for r0 in range(0, grid.n + 1, _BLOCK)])
+        self.offset = (w_h - h_tilde) / (2.0 * params.lam)
 
     def source_vector(self, forecasts: np.ndarray) -> np.ndarray:
-        """a_i = (N[i, i] - w_i . N_col_i) / (2*lam) plus the signal-free offset."""
+        """a_i = (N[i, i] - w_i . N_col_i) / (2*lam) plus the signal-free offset.
+
+        N must be zero above the diagonal, as ``forecast_matrix`` guarantees:
+        the contraction runs over whole rows of ``rows``, I - B part included.
+        """
         n = self.grid.n
         if forecasts.shape != (n + 1, n + 1):
             raise InputError(
                 f"forecast matrix has shape {forecasts.shape}, expected ({n + 1}, {n + 1})"
             )
-        cross = np.einsum("ik,ki->i", self.W, forecasts[:n, :])
+        cross = np.einsum("ik,ki->i", self.rows, forecasts[:n, :])
         return (np.diag(forecasts) - cross) / (2.0 * self.params.lam) + self.offset
 
     def _speeds(self, sources: np.ndarray) -> np.ndarray:
@@ -278,7 +277,7 @@ class NystromEngine:
             r1 = min(r0 + k, size)
             rhs = sources[..., r0:r1]
             if r0:
-                rhs = rhs - u[..., :r0] @ self.system[r0:r1, :r0].T
+                rhs = rhs - u[..., :r0] @ self.rows[r0:r1, :r0].T
             np.matmul(rhs, inverse[:r1 - r0, :r1 - r0].T, out=u[..., r0:r1])
         if not np.all(np.isfinite(u)):
             raise NumericError("non-finite optimal speeds: the scenario overflows "
@@ -287,12 +286,11 @@ class NystromEngine:
 
     def speed_for_path(self, signal_path: np.ndarray) -> np.ndarray:
         """Optimal speeds for one realized path: the Monte Carlo rule."""
-        forecasts = forecast_matrix(self.signal, signal_path, self.grid)
-        return self._speeds(self.source_vector(forecasts))
+        return self.speeds_for_paths([signal_path])[0]
 
     def speeds_for_paths(self, signal_paths: np.ndarray) -> np.ndarray:
         """Optimal speeds for a batch of realized paths, shape (n_paths, n+1)."""
-        sources = np.stack([
+        sources = np.array([
             self.source_vector(forecast_matrix(self.signal, p, self.grid))
             for p in signal_paths
         ])

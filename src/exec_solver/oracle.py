@@ -247,6 +247,9 @@ def perturbation_test(params: ScenarioParams, kernel: PropagatorKernel,
     passes when the estimate is below +2 standard errors (exactly zero
     noise allowance for deterministic signals, up to floating-point dust).
     """
+    if n_paths < 1 or n_perturbations < 1 or not eps_rels:
+        raise InputError(f"perturbation test needs n_paths >= 1, n_perturbations >= 1 and "
+                         f"some eps_rels, got {n_paths}, {n_perturbations}, {eps_rels!r}")
     engine = NystromEngine(params, kernel, grid, signal)
     paths = simulate_signal(signal, grid, seed, n_paths=n_paths)
     us = engine.speeds_for_paths(paths)

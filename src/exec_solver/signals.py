@@ -73,7 +73,8 @@ class TabulatedSignal(SignalModel):
 
     Without a forecast matrix the path can be simulated (replayed) and
     priced, but not fed to the solver: no conditional-expectation model is
-    available for an arbitrary tabulated path.
+    available for an arbitrary tabulated path. Only the lower triangle of a
+    forecast matrix is kept: the solver reads no other entry.
     """
 
     values: np.ndarray
@@ -87,8 +88,7 @@ class TabulatedSignal(SignalModel):
             raise InputError("tabulated signal values must be finite")
         object.__setattr__(self, "values", values)
         if self.forecast is not None:
-            # column-major, like the OU forecasts: the solver reads columns
-            fc = np.asarray(self.forecast, dtype=float, order="F")
+            fc = np.asarray(self.forecast, dtype=float)
             m = values.shape[0]
             if fc.shape != (m, m):
                 raise InputError(
@@ -96,7 +96,8 @@ class TabulatedSignal(SignalModel):
                 )
             if not np.all(np.isfinite(fc)):
                 raise InputError("forecast matrix entries must be finite")
-            object.__setattr__(self, "forecast", fc)
+            # column-major, like the OU forecasts: the solver reads columns
+            object.__setattr__(self, "forecast", np.asfortranarray(np.tril(fc)))
 
 
 def _step_normals(seed: int) -> Callable[[int, int], np.ndarray]:

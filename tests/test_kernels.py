@@ -126,10 +126,6 @@ class TestValidation:
         with pytest.raises(InputError, match="finite"):
             build()
 
-    def test_from_beta_convention(self):
-        k = FractionalKernel.from_beta(c=2.0, beta=0.45)
-        assert k.alpha == pytest.approx(0.55)
-
 
 class TestIntegratedIncrements:
     def test_zero_kernel_penalty_entries(self):

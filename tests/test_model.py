@@ -61,6 +61,20 @@ class TestScenarioParams:
         with pytest.raises(InputError, match="finite"):
             ScenarioParams(q=1.0, T=2.0, lam=1.0, h0=np.array([0.0, np.nan, 0.0]))
 
+    def test_h0_list_is_a_tabulated_vector(self):
+        p = ScenarioParams(q=1, T=1, lam=1, h0=[0.0, 0.1, 0.2])
+        assert np.array_equal(p.h0_values(TimeGrid.uniform(1.0, 2)), [0.0, 0.1, 0.2])
+        with pytest.raises(InputError, match="grid needs 4"):
+            p.h0_values(TimeGrid.uniform(1.0, 3))
+
+    def test_rejects_non_numeric_h0(self):
+        with pytest.raises(InputError, match="h0"):
+            ScenarioParams(q=1, T=1, lam=1, h0="x")
+
+    def test_rejects_two_dimensional_h0(self):
+        with pytest.raises(InputError, match="1-d"):
+            ScenarioParams(q=1, T=1, lam=1, h0=np.zeros((3, 3)))
+
 
 class TestTimeGrid:
     def test_endpoints_and_uniformity(self):

@@ -44,6 +44,18 @@ def direct_loop_curvature(inc, lam, n, i):
     return 2.0 * lam * np.eye(n) + d
 
 
+def split_rows(rows):
+    """W and I - B from the packed rows of ``response_rows``.
+
+    W is the upper triangle (its row n is zero); I - B has the strict lower
+    triangle, a unit diagonal and the unit vector e_n as its last column.
+    """
+    n = rows.shape[1]
+    system = np.eye(n + 1)
+    system[:, :n] += np.tril(rows, -1)
+    return np.triu(rows), system
+
+
 def dense_response_rows(inc, params, grid):
     """Reference rows w_i = D_i^{-T} U_i, one dense solve per step."""
     n = grid.n
@@ -198,7 +210,7 @@ class TestCurvature:
         # w_i . f is U_i . D_i^{-1} f for any right-hand side f
         grid = TimeGrid.uniform(10, 10)
         inc = integrated_increments(exp_kernel, fig1_params, grid)
-        W, _ = response_rows(inc, fig1_params, grid)
+        W, _ = split_rows(response_rows(inc, fig1_params, grid))
         for i in (0, 4, 9, 10):
             D = dense_curvature(inc, fig1_params, grid, i)
             f = rng.normal(size=(10, 3))
@@ -240,7 +252,7 @@ class TestResponse:
         params = ScenarioParams(q=10, T=10, lam=0.5, varrho=0)
         grid = TimeGrid.uniform(10, 6)
         inc = integrated_increments(ZeroKernel(), params, grid)
-        W, _ = response_rows(inc, params, grid)
+        W, _ = split_rows(response_rows(inc, params, grid))
         assert np.all(W == 0.0)
         for i in (0, 3, 6):
             assert W[i] @ rng.normal(size=6) == 0.0
@@ -248,7 +260,7 @@ class TestResponse:
     def test_zero_rhs(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10, 6)
         inc = integrated_increments(exp_kernel, fig1_params, grid)
-        W, _ = response_rows(inc, fig1_params, grid)
+        W, _ = split_rows(response_rows(inc, fig1_params, grid))
         assert np.any(W[2] != 0.0)
         assert W[2] @ np.zeros(6) == 0.0
 
@@ -258,7 +270,7 @@ class TestResponse:
         grid = TimeGrid.uniform(4, 4)
         kernel = ExponentialKernel(1.0, 0.5)
         inc = integrated_increments(kernel, params, grid)
-        got = float(response_rows(inc, params, grid)[0][0] @ np.ones(4))
+        got = float(split_rows(response_rows(inc, params, grid))[0][0] @ np.ones(4))
         D = dense_curvature(inc, params, grid, 0)
         want = float(inc.U[0, :4] @ np.linalg.solve(D, np.ones(4)))
         assert got == pytest.approx(want, abs=1e-12)
@@ -266,7 +278,7 @@ class TestResponse:
     def test_rows_match_dense_transposed_solves(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10, 12)
         inc = integrated_increments(exp_kernel, fig1_params, grid)
-        W, _ = response_rows(inc, fig1_params, grid)
+        W, _ = split_rows(response_rows(inc, fig1_params, grid))
         assert np.allclose(W, dense_response_rows(inc, fig1_params, grid),
                            rtol=1e-12, atol=1e-13)
         assert np.all(W[12] == 0.0)
@@ -279,7 +291,7 @@ class TestResponse:
         grid = TimeGrid.uniform(T, n)
         kernel = data.draw(admissible_kernels(grid))
         inc = integrated_increments(kernel, params, grid)
-        W, _ = response_rows(inc, params, grid)
+        W, _ = split_rows(response_rows(inc, params, grid))
         ref = dense_response_rows(inc, params, grid)
         for i in range(n + 1):
             scale = np.max(np.abs(ref[i]))
@@ -299,7 +311,7 @@ class TestResponse:
 def feedback_matrix(params, kernel, grid):
     """B = I - (the engine's system), exact below the diagonal."""
     engine = NystromEngine(params, kernel, grid, ZeroSignal())
-    return np.eye(grid.n + 1) - engine.system
+    return np.eye(grid.n + 1) - split_rows(engine.rows)[1]
 
 
 def source_vector(params, kernel, grid, forecasts):
@@ -343,8 +355,9 @@ class TestSystem:
         for kernel in (FractionalKernel(1.0, 0.55), ExponentialKernel(1.0, 0.5),
                        BoundedPowerLawKernel(0.5, 1.5)):
             inc = integrated_increments(kernel, params, grid)
-            _, system = response_rows(inc, params, grid)
-            assert system.flags.c_contiguous
+            rows = response_rows(inc, params, grid)
+            assert rows.flags.c_contiguous
+            _, system = split_rows(rows)
             exact = exact_system(inc, params, grid)
             for k in range(n + 1):
                 for j in range(n + 1):
@@ -363,7 +376,7 @@ class TestSystem:
         grid = TimeGrid.uniform(T, n)
         kernel = data.draw(admissible_kernels(grid))
         inc = integrated_increments(kernel, params, grid)
-        _, system = response_rows(inc, params, grid)
+        _, system = split_rows(response_rows(inc, params, grid))
         ref = dense_system(inc, params, grid)
         # the recursion is accurate to about eps times the condition number
         # of the curvature matrix: 1e-13 of the row up to a condition number
@@ -429,7 +442,7 @@ class TestEngine:
             engine = NystromEngine(params, exp_kernel, grid, sig)
             path = simulate_signal(sig, grid, seed=4)
             N = forecast_matrix(sig, path, grid)
-            W = engine.W
+            W, _ = split_rows(engine.rows)
             want, scale = np.empty(n + 1), np.empty(n + 1)
             for i in range(n + 1):
                 want[i] = ((N[i, i] - W[i] @ N[:n, i]) / two_lam
@@ -459,7 +472,7 @@ class TestEngine:
         # blocks followed by a block of one row
         grid = TimeGrid.uniform(10.0, size - 1)
         engine = NystromEngine(fig1_params, frac_kernel, grid, ZeroSignal())
-        B = np.eye(size) - engine.system
+        B = np.eye(size) - split_rows(engine.rows)[1]
         one = rng.normal(size=size)
         u = engine._speeds(one)
         want = solve_speed(one, B)
@@ -469,19 +482,34 @@ class TestEngine:
             want = solve_speed(a, B)
             assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_holds_rows_and_one_system_matrix(self, fig1_params, exp_kernel):
+    def test_holds_one_packed_rows_array(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10.0, 16)
         engine = NystromEngine(fig1_params, exp_kernel, grid, ZeroSignal())
         held = {k: v for k, v in vars(engine).items() if isinstance(v, np.ndarray)}
-        assert "W" in held and "B" not in held
-        square = [k for k, v in held.items() if v.shape == (17, 17)]
-        assert len(square) == 1
-        system = held[square[0]]
-        assert system is engine.system and system.flags.c_contiguous
+        assert set(held) == {"rows", "block_inverses", "offset"}
+        rows = held["rows"]
+        assert rows.shape == (17, 16) and rows.dtype == float and rows.flags.c_contiguous
         # B[i, j] = (w_i . L[:n, j] - L[i, j]) / (2 lam) below the diagonal
+        W, system = split_rows(rows)
         L = engine.inc.L
-        B = np.tril(engine.W @ L[:16] - L, k=-1) / (2.0 * fig1_params.lam)
+        B = np.tril(W @ L[:16] - L, k=-1) / (2.0 * fig1_params.lam)
         np.testing.assert_allclose(system, np.eye(17) - B, rtol=1e-13, atol=0)
+
+    def test_forecast_above_diagonal_is_not_read(self, fig1_params, exp_kernel, rng):
+        # forecasts made at t_j about earlier times k < j are never used: a
+        # user forecast gives the source and speeds of its lower triangle
+        n = 16
+        grid = TimeGrid.uniform(10.0, n)
+        values = rng.normal(size=n + 1)
+        full = rng.normal(size=(n + 1, n + 1))
+        sources, speeds = [], []
+        for forecast in (full, np.tril(full)):
+            sig = TabulatedSignal(values, forecast=forecast)
+            engine = NystromEngine(fig1_params, exp_kernel, grid, sig)
+            sources.append(engine.source_vector(forecast_matrix(sig, values, grid)))
+            speeds.append(engine.speed_for_path(values))
+        assert np.array_equal(sources[0], sources[1])
+        assert np.array_equal(speeds[0], speeds[1])
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
@@ -528,7 +556,7 @@ class TestScenario:
         engine = NystromEngine(fig1_params, exp_kernel, grid, sig)
         N = forecast_matrix(sig, simulate_signal(sig, grid, 0), grid)
         a = engine.source_vector(N)
-        composed = solve_speed(a, np.eye(33) - engine.system)
+        composed = solve_speed(a, np.eye(33) - split_rows(engine.rows)[1])
         pipeline = solve_scenario(fig1_params, exp_kernel, sig, grid).u
         assert np.allclose(composed, pipeline, rtol=1e-12, atol=1e-13)
 

@@ -280,3 +280,18 @@ class TestPerturbation:
                                    n_paths=200, n_perturbations=6, seed=3)
         assert report.passed
         assert len(report.rows) == 24
+
+    @pytest.mark.parametrize("field", ["n_paths", "n_perturbations"])
+    def test_rejects_fewer_than_one(self, fig1_params, field):
+        grid = TimeGrid.uniform(10, 16)
+        sizes = dict(n_paths=4, n_perturbations=2)
+        sizes[field] = 0
+        with pytest.raises(InputError, match=field):
+            perturbation_test(fig1_params, ExponentialKernel(1, 0.5), ZeroSignal(), grid,
+                              **sizes)
+
+    def test_rejects_no_perturbation_sizes(self, fig1_params):
+        grid = TimeGrid.uniform(10, 16)
+        with pytest.raises(InputError, match="eps_rels"):
+            perturbation_test(fig1_params, ExponentialKernel(1, 0.5), ZeroSignal(), grid,
+                              n_paths=4, n_perturbations=2, eps_rels=())
