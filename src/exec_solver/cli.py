@@ -174,7 +174,9 @@ def _get_int(kv, key):
         raise ConfigError(f"{where}: key {key!r} needs an integer, got {value!r}") from None
 
 
-def _read_vector_csv(path: Path) -> np.ndarray:
+def _read_grid_csv(kv, key: str, base_dir: Path, n: int) -> np.ndarray:
+    """The vector in the CSV file named by ``key``: one value per grid point."""
+    path = _resolve(base_dir, kv[key][0])
     try:
         raw = path.read_text().strip().splitlines()
     except OSError as exc:
@@ -185,9 +187,12 @@ def _read_vector_csv(path: Path) -> np.ndarray:
     except (ValueError, IndexError):
         rows = rows[1:]  # header row
     try:
-        return np.array([float(v) for v in rows])
+        values = np.array([float(v) for v in rows])
     except ValueError as exc:
         raise ConfigError(f"non-numeric entry in {path}: {exc}") from exc
+    if values.shape != (n + 1,):
+        raise ConfigError(f"{key} has {values.shape[0]} values, grid needs {n + 1}")
+    return values
 
 
 def _read_matrix_csv(path: Path) -> np.ndarray:
@@ -204,9 +209,9 @@ def _resolve(base_dir: Path, value: str) -> Path:
     return p if p.is_absolute() else base_dir / p
 
 
-def _build_scenario(kv, base_dir: Path) -> ScenarioParams:
+def _build_scenario(kv, base_dir: Path, n: int) -> ScenarioParams:
     if "scenario.h0_csv" in kv:
-        h0 = _read_vector_csv(_resolve(base_dir, kv["scenario.h0_csv"][0]))
+        h0 = _read_grid_csv(kv, "scenario.h0_csv", base_dir, n)
     else:
         h0 = _get_float(kv, "scenario.h0")
     try:
@@ -236,11 +241,7 @@ def _build_kernel(kv, base_dir: Path, grid: TimeGrid) -> PropagatorKernel:
         if kind == "tabulated":
             if "kernel.csv" not in kv:
                 raise ConfigError("kernel.type = tabulated requires kernel.csv")
-            values = _read_vector_csv(_resolve(base_dir, kv["kernel.csv"][0]))
-            if values.shape != (grid.n + 1,):
-                raise ConfigError(
-                    f"kernel.csv has {values.shape[0]} values, grid needs {grid.n + 1}"
-                )
+            values = _read_grid_csv(kv, "kernel.csv", base_dir, grid.n)
             return TabulatedKernel.from_grid_values(grid, values)
     except InputError as exc:
         raise ConfigError(f"infeasible kernel parameters: {exc}") from exc
@@ -259,7 +260,7 @@ def _build_signal(kv, base_dir: Path, grid: TimeGrid) -> SignalModel:
         if kind == "tabulated":
             if "signal.csv" not in kv:
                 raise ConfigError("signal.type = tabulated requires signal.csv")
-            values = _read_vector_csv(_resolve(base_dir, kv["signal.csv"][0]))
+            values = _read_grid_csv(kv, "signal.csv", base_dir, grid.n)
             forecast = None
             if "signal.forecast_csv" in kv:
                 forecast = _read_matrix_csv(_resolve(base_dir, kv["signal.forecast_csv"][0]))
@@ -271,7 +272,7 @@ def _build_signal(kv, base_dir: Path, grid: TimeGrid) -> SignalModel:
 
 def _build_models(kv, base_dir: Path, n: int):
     """Scenario, kernel and signal of one solve on the n-step grid."""
-    scenario = _build_scenario(kv, base_dir)
+    scenario = _build_scenario(kv, base_dir, n)
     grid = TimeGrid.uniform(scenario.T, n)
     kernel = _build_kernel(kv, base_dir, grid)
     signal = _build_signal(kv, base_dir, grid)
@@ -365,6 +366,11 @@ def parse_config(text: str, base_dir: Path | str = ".",
                 raise ConfigError(f"unknown mc strategy {s!r}; expected nystrom or twap")
         cfg.mc_n_paths = n_paths
         cfg.mc_strategies = strategies
+    # the grid solver needs forecasts; a twap-only mc run merely replays the path
+    solves = mode != "mc" or "nystrom" in cfg.mc_strategies
+    if solves and kv["signal.type"][0] == "tabulated" and "signal.forecast_csv" not in kv:
+        raise ConfigError("signal.type = tabulated has no closed-form forecast: the grid "
+                          "solver needs signal.forecast_csv")
     return cfg
 
 

@@ -15,6 +15,7 @@ equation solver all optimize the same discrete objective.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,8 +37,8 @@ def require_finite(obj, *names):
     """Raise InputError unless each named attribute of ``obj`` is a finite number."""
     for name in names:
         value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise InputError(f"{type(obj).__name__} needs a finite {name}, got {value}")
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise InputError(f"{type(obj).__name__} needs a finite {name}, got {value!r}")
 
 
 def toeplitz(col: np.ndarray, row: np.ndarray) -> np.ndarray:
@@ -50,7 +51,7 @@ def toeplitz(col: np.ndarray, row: np.ndarray) -> np.ndarray:
     return sliding_window_view(line, row.size)[::-1].copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioParams:
     """Economic inputs of a liquidation scenario.
 

@@ -2,25 +2,28 @@
 
 The optimal speed solves a linear Volterra equation u = a + B * u whose
 ingredients are built from the integrated kernel increments L, U, the
-signal forecast matrix N and the shifted initial distortion. On the grid
-this becomes a unit lower-triangular system solved by forward substitution:
+signal forecast matrix N and the shifted initial distortion
+h~ = h0 - 2*varrho*q. On the grid this becomes a unit lower-triangular
+system solved by forward substitution:
 
     1. per-step curvature matrices  D_i = 2*lam*I + (L + U restricted to
        indices >= i), block-diagonal with a 2*lam*I head block; on the
        uniform grid the trailing block is the leading (n-i) section of one
        Toeplitz matrix 2*lam*I + (L + U)[:n, :n],
-    2. response rows  w_i = U_i^T D_i^{-1}, all n of them from one
-       Levinson-Trench recursion over those nested sections, run in Schur
-       form: each step reads its two reflection coefficients from carried
-       generator rows and applies one 2x2 update to them, with no inner
-       product; O(n^2) time and O(n) memory besides the rows,
-    3. feedback matrix  B[i, j] = (w_i . L_col_j - L[i, j]) / (2*lam) on the
-       strict lower triangle; L is lower Toeplitz, so row i is minus the
-       correlation of the forward Levinson vector with the cell vector,
-       which the generator row of step 2 carries next to w_i: one O(n) copy
-       of that row packs w_i and row i of I - B; and source vector
-       a_i = (N[i, i] - w_i . N_col_i) / (2*lam) + (w_i . h~ - h~_i) / (2*lam),
-       whose second part does not depend on the signal,
+    2. response rows  f_m = D_i^{-T} e_i on indices >= i, m = n - i, all n
+       of them from one Levinson-Trench recursion over those nested
+       sections, run in Schur form: each step reads its two reflection
+       coefficients from carried generator rows and applies one 2x2 update
+       to them, with no inner product; O(n^2) time and O(n) memory besides
+       the rows,
+    3. feedback matrix  B[i, :i] = -f_m . L[i:n, :i] on the strict lower
+       triangle, and row n is -L[n, :n] / (2*lam); L is lower Toeplitz, so
+       row i is minus the correlation of f_m with the cell vector, which
+       the generator row of step 2 carries next to f_m: one O(n) copy of
+       that row packs f_m and row i of I - B; and source vector
+       a_i = f_m . (N[i:n, i] - h~[i:n]) for i < n, with the terminal entry
+       a_n = (N[n, n] - h~_n) / (2*lam), whose h~ part does not depend on
+       the signal,
     4. u = (I - B)^{-1} a by blocked forward substitution, O(n^2): the
        unit lower-triangular diagonal blocks of I - B are inverted once,
        so each block of u costs one product with the rows before it and
@@ -93,20 +96,18 @@ def _check_pivot(pivot: float, scale: float, step: int):
 
 def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
                   grid: TimeGrid) -> np.ndarray:
-    """All rows w_i = U_i^T D_i^{-1} and the system I - B, packed, in O(n^2) time.
+    """All rows f_m = D_i^{-T} e_i and the system I - B, packed, in O(n^2) time.
 
     The increments come from one cell vector on a uniform grid, so
     A = 2*lam*I + (L + U)[:n, :n] is Toeplitz and the trailing block of D_i
-    is its leading section A_m, m = n - i. The restricted U_i is
-    A_m^T e_1 - 2*lam*e_1, hence w_i = e_1 - 2*lam*f_m on indices >= i,
-    where f_m = A_m^{-T} e_1 is the forward vector of the Levinson-Trench
-    recursion on A^T (Golub & Van Loan, Matrix Computations, 4.7), run here
-    in its Schur form. The recursion also carries the backward vector
-    b_m = A_m^{-T} e_m and, to keep small rows accurate, the entry
-    w_i[i] = 1 - 2*lam*f_m[0] as a scalar. With g = cell + aug,
-    L[k, j] = g[k-1-j] below the diagonal, so the feedback entries
-    B[i, j] = (w_i . L_col_j - L[i, j]) / (2*lam) reduce to -cf[i-1-j],
-    where cf[d] = f_m . g[d:d+m]; row n of I - B is g reversed over 2*lam.
+    is its leading section A_m, m = n - i. On indices >= i, D_i^{-T} e_i is
+    f_m = A_m^{-T} e_1, the forward vector of the Levinson-Trench recursion
+    on A^T (Golub & Van Loan, Matrix Computations, 4.7), run here in its
+    Schur form; the recursion also carries the backward vector
+    b_m = A_m^{-T} e_m. With g = cell + aug, L[k, j] = g[k-1-j] below the
+    diagonal, so the feedback entries B[i, j] = -f_m . L[i:n, j] are
+    -cf[i-1-j], where cf[d] = f_m . g[d:d+m]; row n of I - B is g reversed
+    over 2*lam.
 
     Each side keeps one generator row over the positions P = -(n-1)..n-1:
     [cf reversed | f_m | Rf] and [cb reversed | b_m | Rb], with
@@ -121,13 +122,13 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
     the new f row is (f row - ef * b row) / (1 - ef*eb) and the new b row
     (b row - eb * f row) / (1 - ef*eb), where the b row is shifted one
     place right (position P takes its entry at P - 1): one 2x2 matrix
-    applied to both rows. The entries at P >= 0 are carried times -2*lam,
-    which the update preserves.
+    applied to both rows.
 
-    Returns W and I - B packed in one row-major (n+1, n) array: row i is the
-    new f row over positions -i..n-1-i, one contiguous copy, with w_i[i] on
-    the diagonal; row n is row n of I - B (row n of W is zero), and the last
-    column of I - B, the unit vector e_n, is implicit. Raises NumericError
+    Returns f and I - B packed in one row-major (n+1, n) array: row i is
+    the new f row over positions -i..n-1-i, one contiguous copy, so f_m
+    lies on and right of the diagonal and the strict lower part of I - B
+    left of it; row n is row n of I - B, and the unit diagonal and the last
+    column of I - B, the unit vector e_n, are implicit. Raises NumericError
     naming the step whose section is singular to working precision.
     """
     _require_phi_zero(params)
@@ -147,10 +148,8 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
     # rows of I - B still to come are shorter by one each step.
     width, zero = 2 * n - 1, n - 1
     states = np.zeros((2, 2, width))
-    inv = 1.0 / diag
-    states[0, :, :zero] = row[n - 2::-1] * inv
-    states[0, :, zero] = -two_lam * inv
-    states[0, :, zero + 1:] = row[1:] * (-two_lam * inv)
+    # m = 1: f_1 = b_1 = 1/diag, and either side of it is g over diag
+    states[0, :] = np.concatenate((row[n - 2::-1], [1.0], row[1:])) * (1.0 / diag)
     steps = []
     for k in (0, 1):
         flat = states[k].reshape(-1)
@@ -159,13 +158,12 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
         steps.append((flat, skew, states[1 - k, :, 1:], states[1 - k, 0]))
     coef = np.empty(4)
     update = coef.reshape(2, 2)
-    head = float(row[0]) / diag
     f = states[0, 0]
     for m in range(1, n + 1):
         i = n - m
         if m > 1:
             flat, skew, out, f = steps[m & 1]
-            ef = flat.item(zero + m - 1) / -two_lam  # Rf[m-1], carried times -2*lam
+            ef = flat.item(zero + m - 1)  # Rf[m-1]
             eb = flat.item(width + zero - 1)  # cb[0]
             pivot = 1.0 - ef * eb
             _check_pivot(pivot, 1.0 + abs(ef * eb), i)
@@ -176,9 +174,7 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
             coef[1] = -ef * r
             coef[2] = -eb * r
             np.matmul(update, skew, out=out)
-            head = (head - ef * eb) / pivot
         rows[i] = f[zero - i:zero + m]
-        rows[i, i] = head
     return rows
 
 
@@ -227,13 +223,14 @@ def _diagonal_block_inverses(rows: np.ndarray) -> np.ndarray:
 class NystromEngine:
     """Signal-independent precomputation for repeated solves on one scenario.
 
-    Builds once, in O(n^2) time, W and I - B packed in ``rows`` (from
-    ``response_rows``), the inverses of the diagonal blocks of I - B in
-    ``block_inverses`` and the signal-free offset (W h~ - h~) / (2*lam) of
-    the source vector. A realized path then costs one forecast matrix, one
-    contraction with W and one blocked forward substitution: O(n^2) work; a
-    batch of paths takes matrix products in place of matrix-vector products.
-    Used by the Monte Carlo engine, where only the source changes per path.
+    Builds once, in O(n^2) time, the rows f_m and I - B packed in ``rows``
+    (from ``response_rows``), the inverses of the diagonal blocks of I - B
+    in ``block_inverses`` and the signal-free offset -f_m . h~[i:n] of the
+    source vector, -h~_n / (2*lam) at i = n. A realized path then costs one
+    forecast matrix, one contraction with the rows and one blocked forward
+    substitution: O(n^2) work; a batch of paths takes matrix products in
+    place of matrix-vector products. Used by the Monte Carlo engine, where
+    only the source changes per path.
     """
 
     def __init__(self, params: ScenarioParams, kernel: PropagatorKernel,
@@ -246,13 +243,13 @@ class NystromEngine:
         self.rows = response_rows(self.inc, params, grid)
         self.block_inverses = _diagonal_block_inverses(self.rows)
         h_tilde = params.h0_values(grid) - 2.0 * params.varrho * params.q
-        # W h~ over blocks of rows of W, never a full (n+1)^2 temporary
-        w_h = np.concatenate([np.triu(self.rows[r0:r0 + _BLOCK, r0:]) @ h_tilde[r0:-1]
-                              for r0 in range(0, grid.n + 1, _BLOCK)])
-        self.offset = (w_h - h_tilde) / (2.0 * params.lam)
+        # -f_m . h~[i:n] over blocks of rows, never a full (n+1)^2 temporary
+        self.offset = -np.concatenate([np.triu(self.rows[r0:r0 + _BLOCK, r0:]) @ h_tilde[r0:-1]
+                                       for r0 in range(0, grid.n + 1, _BLOCK)])
+        self.offset[-1] = -h_tilde[-1] / (2.0 * params.lam)
 
     def source_vector(self, forecasts: np.ndarray) -> np.ndarray:
-        """a_i = (N[i, i] - w_i . N_col_i) / (2*lam) plus the signal-free offset.
+        """a_i = f_m . N[i:n, i], and N[n, n] / (2*lam) at i = n, plus the offset.
 
         N must be zero above the diagonal, as ``forecast_matrix`` guarantees:
         the contraction runs over whole rows of ``rows``, I - B part included.
@@ -262,8 +259,9 @@ class NystromEngine:
             raise InputError(
                 f"forecast matrix has shape {forecasts.shape}, expected ({n + 1}, {n + 1})"
             )
-        cross = np.einsum("ik,ki->i", self.rows, forecasts[:n, :])
-        return (np.diag(forecasts) - cross) / (2.0 * self.params.lam) + self.offset
+        a = np.einsum("ik,ki->i", self.rows, forecasts[:n, :]) + self.offset
+        a[n] += forecasts[n, n] / (2.0 * self.params.lam)
+        return a
 
     def _speeds(self, sources: np.ndarray) -> np.ndarray:
         """u = (I - B)^{-1} a for each source a, shape (n+1,) or (paths, n+1)."""

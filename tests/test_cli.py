@@ -270,8 +270,47 @@ kernel.csv = {csv}
         with pytest.raises(ConfigError, match="grid needs 17"):
             parse_config(text)
 
+    @pytest.mark.parametrize("key, context", [
+        ("signal.csv", "signal.type = tabulated\nsignal.forecast_csv = zeros.csv"),
+        ("scenario.h0_csv", ""),
+    ], ids=["signal.csv", "scenario.h0_csv"])
+    def test_grid_csv_length_mismatch(self, tmp_path, key, context):
+        (tmp_path / "short.csv").write_text("\n".join(["1.0"] * 5) + "\n")
+        (tmp_path / "zeros.csv").write_text("\n".join([",".join(["0"] * 17)] * 17) + "\n")
+        text = f"mode = solve\noutput_dir = o\ngrid.n = 16\n{context}\n{key} = short.csv\n"
+        with pytest.raises(ConfigError, match=f"{key} has 5 values, grid needs 17"):
+            parse_config(text, base_dir=tmp_path)
+
+
+def tabulated_signal_config(tmp_path, mode, extra=""):
+    """A run on a tabulated signal path with no forecast matrix."""
+    (tmp_path / "signal.csv").write_text("\n".join(["1.0"] * 9) + "\n")
+    cfg = tmp_path / "tabulated.cfg"
+    cfg.write_text(f"mode = {mode}\noutput_dir = {tmp_path / 'o'}\ngrid.n = 8\n"
+                   f"signal.type = tabulated\nsignal.csv = signal.csv\n{extra}\n")
+    return cfg
+
 
 class TestMain:
+    @pytest.mark.parametrize("mode, extra", [
+        ("solve", ""),
+        ("sweep", "sweep.param = scenario.q\nsweep.values = 5, 10"),
+        ("compare", "compare.kernels = zero, exponential"),
+        ("mc", "mc.n_paths = 4"),
+        ("mc", "mc.n_paths = 4\nmc.strategies = nystrom"),
+    ], ids=["solve", "sweep", "compare", "mc", "mc-nystrom"])
+    def test_tabulated_signal_without_forecast_exits_2(self, tmp_path, capsys, mode, extra):
+        cfg = tabulated_signal_config(tmp_path, mode, extra)
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "signal.forecast_csv" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_twap_only_mc_replays_tabulated_signal(self, tmp_path):
+        cfg = tabulated_signal_config(tmp_path, "mc", "mc.n_paths = 4\nmc.strategies = twap")
+        assert main(["--config", str(cfg)]) == 0
+        assert (tmp_path / "o" / "mc_summary.csv").exists()
+
     def test_missing_config_file_is_config_error(self, tmp_path, capsys):
         code = main(["--config", str(tmp_path / "nope.cfg")])
         assert code == 2

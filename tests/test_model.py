@@ -9,6 +9,7 @@ from exec_solver import (
     ExponentialKernel,
     FractionalKernel,
     InputError,
+    OUSignal,
     ScenarioParams,
     StrategyPath,
     TabulatedKernel,
@@ -74,6 +75,24 @@ class TestScenarioParams:
     def test_rejects_two_dimensional_h0(self):
         with pytest.raises(InputError, match="1-d"):
             ScenarioParams(q=1, T=1, lam=1, h0=np.zeros((3, 3)))
+
+    def test_vector_h0_hashes_and_compares(self):
+        # scenarios compare by identity, so a vector h0 needs no elementwise truth value
+        a = ScenarioParams(q=1, T=1, lam=1, h0=[0.0, 0.1, 0.2])
+        b = ScenarioParams(q=1, T=1, lam=1, h0=[0.0, 0.1, 0.2])
+        assert len({a, b}) == 2
+        assert a == a and a != b
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: ScenarioParams(q="x", T=1, lam=1), "q"),
+    (lambda: OUSignal(I0="x", gamma=0.3, sigma=0), "I0"),
+    (lambda: FractionalKernel(c=None, alpha=0.6), "c"),
+    (lambda: TimeGrid(n=4, T="1"), "T"),
+], ids=["ScenarioParams", "OUSignal", "FractionalKernel", "TimeGrid"])
+def test_non_number_field_names_the_field(build, field):
+    with pytest.raises(InputError, match=f"needs a finite {field}, got"):
+        build()
 
 
 class TestTimeGrid:

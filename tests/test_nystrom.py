@@ -45,10 +45,11 @@ def direct_loop_curvature(inc, lam, n, i):
 
 
 def split_rows(rows):
-    """W and I - B from the packed rows of ``response_rows``.
+    """F and I - B from the packed rows of ``response_rows``.
 
-    W is the upper triangle (its row n is zero); I - B has the strict lower
-    triangle, a unit diagonal and the unit vector e_n as its last column.
+    F is the upper triangle, row i holding D_i^{-T} e_i (its row n is zero);
+    I - B has the strict lower triangle, a unit diagonal and the unit vector
+    e_n as its last column.
     """
     n = rows.shape[1]
     system = np.eye(n + 1)
@@ -57,12 +58,12 @@ def split_rows(rows):
 
 
 def dense_response_rows(inc, params, grid):
-    """Reference rows w_i = D_i^{-T} U_i, one dense solve per step."""
+    """Reference rows D_i^{-T} e_i, one dense solve per step; row n is zero."""
     n = grid.n
-    W = np.zeros((n + 1, n))
-    for i in range(n + 1):
-        W[i] = np.linalg.solve(dense_curvature(inc, params, grid, i).T, inc.U[i, :n])
-    return W
+    F = np.zeros((n + 1, n))
+    for i in range(n):
+        F[i] = np.linalg.solve(dense_curvature(inc, params, grid, i).T, np.eye(n)[i])
+    return F
 
 
 def fraction_solve(A, rhs):
@@ -79,24 +80,29 @@ def fraction_solve(A, rhs):
     return [M[k][n] / M[k][k] for k in range(n)]
 
 
-def exact_system(inc, params, grid):
-    """I - B in exact arithmetic on the float increments.
+def exact_system(inc, params, grid, forecasts):
+    """I - B and the source a in exact arithmetic on the float inputs.
 
-    B[i, j] = (w_i . L_col_j - L[i, j]) / (2 lam) below the diagonal, with
-    each w_i from an exact solve of D_i^T w_i = U_i.
+    B[i, j] = (w_i . L_col_j - L[i, j]) / (2 lam) below the diagonal and
+    a_i = (N[i, i] - w_i . N_col_i + w_i . h~ - h~_i) / (2 lam), with each
+    w_i from an exact solve of D_i^T w_i = U_i.
     """
     n = grid.n
     two_lam = Fraction(2.0 * params.lam)
     L = [[Fraction(x) for x in row] for row in inc.L]
     U = [[Fraction(x) for x in row] for row in inc.U]
+    N = [[Fraction(x) for x in row] for row in forecasts]
+    h = [Fraction(x) for x in params.h0_values(grid) - 2.0 * params.varrho * params.q]
     system = [[Fraction(int(k == j)) for j in range(n + 1)] for k in range(n + 1)]
+    a = []
     for i in range(n + 1):
         DT = [[(two_lam if j == k else 0) + (L[j][k] + U[j][k] if min(j, k) >= i else 0)
                for j in range(n)] for k in range(n)]
         w = fraction_solve(DT, U[i][:n])
         for j in range(i):
             system[i][j] -= (sum(w[k] * L[k][j] for k in range(n)) - L[i][j]) / two_lam
-    return system
+        a.append((N[i][i] - h[i] - sum(w[k] * (N[k][i] - h[k]) for k in range(n))) / two_lam)
+    return system, a
 
 
 def dense_system(inc, params, grid):
@@ -104,7 +110,7 @@ def dense_system(inc, params, grid):
 
     Since w_i = e_i - 2 lam D_i^{-T} e_i, this is the formula
     (w_i . L_col_j - L[i, j]) / (2 lam) without its cancellation; row n is
-    L[n] / (2 lam).
+    -L[n] / (2 lam).
     """
     n, two_lam = grid.n, 2.0 * params.lam
     L = inc.L
@@ -207,14 +213,14 @@ class TestCurvature:
                 assert np.allclose(got, want, rtol=0, atol=1e-14)
 
     def test_response_rows_apply_dense_inverse(self, fig1_params, exp_kernel, rng):
-        # w_i . f is U_i . D_i^{-1} f for any right-hand side f
+        # f_m . x is e_i . D_i^{-1} x for any right-hand side x; row n is zero
         grid = TimeGrid.uniform(10, 10)
         inc = integrated_increments(exp_kernel, fig1_params, grid)
-        W, _ = split_rows(response_rows(inc, fig1_params, grid))
+        F, _ = split_rows(response_rows(inc, fig1_params, grid))
         for i in (0, 4, 9, 10):
             D = dense_curvature(inc, fig1_params, grid, i)
-            f = rng.normal(size=(10, 3))
-            assert np.allclose(W[i] @ f, inc.U[i, :10] @ np.linalg.solve(D, f),
+            x = rng.normal(size=(10, 3))
+            assert np.allclose(F[i] @ x, np.eye(11)[i, :10] @ np.linalg.solve(D, x),
                                rtol=1e-12, atol=1e-13)
 
     def test_min_eigenvalue_at_least_lam(self, fig1_params):
@@ -252,17 +258,21 @@ class TestResponse:
         params = ScenarioParams(q=10, T=10, lam=0.5, varrho=0)
         grid = TimeGrid.uniform(10, 6)
         inc = integrated_increments(ZeroKernel(), params, grid)
-        W, _ = split_rows(response_rows(inc, params, grid))
-        assert np.all(W == 0.0)
+        F, system = split_rows(response_rows(inc, params, grid))
+        # D_i = I (2 lam = 1): each row is e_i, and every row of B is zero
+        assert np.array_equal(F, dense_response_rows(inc, params, grid))
+        assert np.array_equal(F, np.eye(7, 6))
+        assert np.array_equal(system, np.eye(7))
         for i in (0, 3, 6):
-            assert W[i] @ rng.normal(size=6) == 0.0
+            x = rng.normal(size=6)
+            assert F[i] @ x == (x[i] if i < 6 else 0.0)
 
     def test_zero_rhs(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10, 6)
         inc = integrated_increments(exp_kernel, fig1_params, grid)
-        W, _ = split_rows(response_rows(inc, fig1_params, grid))
-        assert np.any(W[2] != 0.0)
-        assert W[2] @ np.zeros(6) == 0.0
+        F, _ = split_rows(response_rows(inc, fig1_params, grid))
+        assert np.any(F[2] != 0.0)
+        assert F[2] @ np.zeros(6) == 0.0
 
     def test_dense_solve_oracle(self):
         # n = 4, dt = 1, i = 0, f = ones, against a generic dense solve
@@ -272,16 +282,16 @@ class TestResponse:
         inc = integrated_increments(kernel, params, grid)
         got = float(split_rows(response_rows(inc, params, grid))[0][0] @ np.ones(4))
         D = dense_curvature(inc, params, grid, 0)
-        want = float(inc.U[0, :4] @ np.linalg.solve(D, np.ones(4)))
+        want = float(np.linalg.solve(D, np.ones(4))[0])
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_rows_match_dense_transposed_solves(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10, 12)
         inc = integrated_increments(exp_kernel, fig1_params, grid)
-        W, _ = split_rows(response_rows(inc, fig1_params, grid))
-        assert np.allclose(W, dense_response_rows(inc, fig1_params, grid),
+        F, _ = split_rows(response_rows(inc, fig1_params, grid))
+        assert np.allclose(F, dense_response_rows(inc, fig1_params, grid),
                            rtol=1e-12, atol=1e-13)
-        assert np.all(W[12] == 0.0)
+        assert np.all(F[12] == 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(2, 64), varrho=st.floats(0.0, 10.0),
@@ -291,11 +301,11 @@ class TestResponse:
         grid = TimeGrid.uniform(T, n)
         kernel = data.draw(admissible_kernels(grid))
         inc = integrated_increments(kernel, params, grid)
-        W, _ = split_rows(response_rows(inc, params, grid))
+        F, _ = split_rows(response_rows(inc, params, grid))
         ref = dense_response_rows(inc, params, grid)
         for i in range(n + 1):
             scale = np.max(np.abs(ref[i]))
-            assert np.max(np.abs(W[i] - ref[i])) <= 1e-10 * scale, (kernel, i)
+            assert np.max(np.abs(F[i] - ref[i])) <= 1e-10 * scale, (kernel, i)
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_singular_leading_section_names_step(self, n):
@@ -350,15 +360,26 @@ class TestSystem:
     @pytest.mark.parametrize("lam", [0.5, 0.01])
     @pytest.mark.parametrize("varrho", [0.0, 4.0])
     def test_matches_exact_reference(self, n, lam, varrho):
-        params = ScenarioParams(q=10, T=10, lam=lam, varrho=varrho)
+        params = ScenarioParams(q=10, T=10, lam=lam, varrho=varrho, h0=0.3)
         grid = TimeGrid.uniform(10, n)
+        sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
+        N = forecast_matrix(sig, simulate_signal(sig, grid, seed=3), grid)
         for kernel in (FractionalKernel(1.0, 0.55), ExponentialKernel(1.0, 0.5),
                        BoundedPowerLawKernel(0.5, 1.5)):
-            inc = integrated_increments(kernel, params, grid)
-            rows = response_rows(inc, params, grid)
-            assert rows.flags.c_contiguous
-            _, system = split_rows(rows)
-            exact = exact_system(inc, params, grid)
+            engine = NystromEngine(params, kernel, grid, sig)
+            assert engine.rows.flags.c_contiguous
+            _, system = split_rows(engine.rows)
+            exact, exact_a = exact_system(engine.inc, params, grid, N)
+            # source and speeds, each to a bound on its largest entry
+            a = engine.source_vector(N)
+            a_err = float(max(abs(Fraction(x) - want) for x, want in zip(a, exact_a)))
+            assert a_err <= 1e-14 * np.max(np.abs(a)), (kernel, a_err)
+            exact_u = []
+            for k in range(n + 1):
+                exact_u.append(exact_a[k] - sum(exact[k][j] * exact_u[j] for j in range(k)))
+            u = engine._speeds(a)
+            u_err = float(max(abs(Fraction(x) - want) for x, want in zip(u, exact_u)))
+            assert u_err <= 1e-12 * np.max(np.abs(u)), (kernel, u_err)
             for k in range(n + 1):
                 for j in range(n + 1):
                     want = exact[k][j]
@@ -430,8 +451,8 @@ def engine_signals(n, rng):
 class TestEngine:
     @pytest.mark.parametrize("n", [2, 3, 16, 200])
     def test_source_vector_matches_builder(self, n, exp_kernel, rng):
-        # against the source formula evaluated row by row from the engine's W:
-        # a_i = (N[i, i] - w_i . N[:n, i]) / (2 lam) + (w_i . h~[:n] - h~_i) / (2 lam);
+        # against the source formula evaluated row by row from the engine's F:
+        # a_i = f_m . (N[:n, i] - h~[:n]) and a_n = (N[n, n] - h~_n) / (2 lam);
         # the sums run in another order, so entries that nearly cancel are
         # held to 1e-13 of the magnitude of their terms
         params = ScenarioParams(q=10.0, T=10.0, lam=0.5, varrho=4.0, h0=0.3)
@@ -442,13 +463,13 @@ class TestEngine:
             engine = NystromEngine(params, exp_kernel, grid, sig)
             path = simulate_signal(sig, grid, seed=4)
             N = forecast_matrix(sig, path, grid)
-            W, _ = split_rows(engine.rows)
+            F, _ = split_rows(engine.rows)
             want, scale = np.empty(n + 1), np.empty(n + 1)
-            for i in range(n + 1):
-                want[i] = ((N[i, i] - W[i] @ N[:n, i]) / two_lam
-                           + (W[i] @ h_tilde[:n] - h_tilde[i]) / two_lam)
-                scale[i] = (abs(N[i, i]) + np.abs(W[i]) @ np.abs(N[:n, i])
-                            + np.abs(W[i]) @ np.abs(h_tilde[:n]) + abs(h_tilde[i])) / two_lam
+            for i in range(n):
+                want[i] = F[i] @ (N[:n, i] - h_tilde[:n])
+                scale[i] = np.abs(F[i]) @ (np.abs(N[:n, i]) + np.abs(h_tilde[:n]))
+            want[n] = (N[n, n] - h_tilde[n]) / two_lam
+            scale[n] = (abs(N[n, n]) + abs(h_tilde[n])) / two_lam
             assert np.all(np.abs(engine.source_vector(N) - want) <= 1e-13 * scale)
 
     @pytest.mark.parametrize("n", [2, 3, 16, 200])
@@ -489,10 +510,11 @@ class TestEngine:
         assert set(held) == {"rows", "block_inverses", "offset"}
         rows = held["rows"]
         assert rows.shape == (17, 16) and rows.dtype == float and rows.flags.c_contiguous
-        # B[i, j] = (w_i . L[:n, j] - L[i, j]) / (2 lam) below the diagonal
-        W, system = split_rows(rows)
+        # B = -tril(F L), with row n of B equal to -L[n] / (2 lam)
+        F, system = split_rows(rows)
         L = engine.inc.L
-        B = np.tril(W @ L[:16] - L, k=-1) / (2.0 * fig1_params.lam)
+        B = -np.tril(F @ L[:16], k=-1)
+        B[16] = -L[16] / (2.0 * fig1_params.lam)
         np.testing.assert_allclose(system, np.eye(17) - B, rtol=1e-13, atol=0)
 
     def test_forecast_above_diagonal_is_not_read(self, fig1_params, exp_kernel, rng):
