@@ -41,6 +41,7 @@ from .kernels import (
     PropagatorKernel,
     TabulatedKernel,
     ZeroKernel,
+    concavity_failure,
 )
 from .model import ScenarioParams, TimeGrid
 from .nystrom import solve_scenario_detail
@@ -366,12 +367,34 @@ def parse_config(text: str, base_dir: Path | str = ".",
                 raise ConfigError(f"unknown mc strategy {s!r}; expected nystrom or twap")
         cfg.mc_n_paths = n_paths
         cfg.mc_strategies = strategies
-    # the grid solver needs forecasts; a twap-only mc run merely replays the path
-    solves = mode != "mc" or "nystrom" in cfg.mc_strategies
-    if solves and kv["signal.type"][0] == "tabulated" and "signal.forecast_csv" not in kv:
-        raise ConfigError("signal.type = tabulated has no closed-form forecast: the grid "
-                          "solver needs signal.forecast_csv")
+    # the grid solver needs forecasts and a concave objective; a twap-only mc
+    # run merely replays the path
+    if mode != "mc" or "nystrom" in cfg.mc_strategies:
+        if kv["signal.type"][0] == "tabulated" and "signal.forecast_csv" not in kv:
+            raise ConfigError("signal.type = tabulated has no closed-form forecast: the grid "
+                              "solver needs signal.forecast_csv")
+        for case in cfg.cases or (cfg,):
+            _require_concave(case, cfg.grid, f"{mode} point {case.label}: " if cfg.cases else "")
     return cfg
+
+
+def _require_concave(case, grid: TimeGrid, where: str):
+    """Reject a tabulated kernel whose discrete objective has no maximum.
+
+    The closed-form kernels, nonnegative definite in the continuum, skip
+    the check.
+    """
+    if not isinstance(case.kernel, TabulatedKernel):
+        return
+    failure = concavity_failure(case.kernel, case.scenario, grid)
+    if failure is not None:
+        step, pivot = failure
+        raise ConfigError(
+            f"{where}kernel.csv: the discrete objective is not strictly concave at "
+            f"scenario.lambda = {case.scenario.lam!r}: its Hessian pivot at grid step "
+            f"{step} is {pivot:.3g}, so the kernel is not nonnegative definite at this "
+            "resolution"
+        )
 
 
 def load_config(path: Path | str, overrides: dict[str, str] | None = None) -> RunConfig:

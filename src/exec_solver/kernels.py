@@ -40,6 +40,7 @@ __all__ = [
     "integrated_increments",
     "DefinitenessReport",
     "check_nonnegative_definite",
+    "concavity_failure",
 ]
 
 class PropagatorKernel:
@@ -391,3 +392,40 @@ def check_nonnegative_definite(kernel: PropagatorKernel, grid: TimeGrid,
         matrix_norm=norm,
         n=n,
     )
+
+
+def concavity_failure(kernel: PropagatorKernel, params: ScenarioParams,
+                      grid: TimeGrid) -> tuple[int, float] | None:
+    """First grid step at which the discrete objective stops being strictly concave.
+
+    With phi = 0 the negated Hessian of the discrete objective on the
+    active speeds (``oracle.assemble_qp``) is dt * toeplitz(col), with
+    col[0] = 2*lam + aug and col[d] = cell[d-1] + aug. Its leading section
+    of order k+1 is positive definite iff the LDL^T pivots of steps 0..k
+    are positive. The symmetric Schur algorithm (Golub & Van Loan, 4.7)
+    finds them in O(n^2) time and O(n) memory, in place of a dense
+    Cholesky: two generator rows, one shifted a place each step, with the
+    reflection coefficient rho_k = v[k] / u[k] and pivot_k = pivot_{k-1} *
+    (1 - rho_k^2). Dividing both rows by 1 - rho_k^2 keeps u[k] at col[0].
+    Returns the first step whose pivot is not positive, with that pivot
+    of the negated Hessian, or None when every pivot is positive.
+    """
+    n, dt = grid.n, grid.dt
+    aug = 2.0 * params.varrho * dt
+    col = np.concatenate(([2.0 * params.lam], _cell_values(kernel, dt, n - 1))) + aug
+    pivot = col[0] * dt
+    if not pivot > 0.0:
+        return 0, float(pivot)
+    # u[j] holds position j + k of the shifted row, v[j] position j
+    u, v = col.copy(), col.copy()
+    v[0] = 0.0
+    for k in range(1, n):
+        head, tail = u[:n - k], v[k:]
+        rho = tail[0] / head[0]
+        shrink = (1.0 - rho) * (1.0 + rho)
+        pivot *= shrink
+        if not pivot > 0.0:
+            return k, float(pivot)
+        head, tail = (head - rho * tail) / shrink, (tail - rho * head) / shrink
+        u[:n - k], v[k:] = head, tail
+    return None

@@ -2,9 +2,9 @@
 
 The optimal speed solves a linear Volterra equation u = a + B * u whose
 ingredients are built from the integrated kernel increments L, U, the
-signal forecast matrix N and the shifted initial distortion
-h~ = h0 - 2*varrho*q. On the grid this becomes a unit lower-triangular
-system solved by forward substitution:
+signal forecasts N and the shifted initial distortion h~ = h0 - 2*varrho*q.
+On the grid this becomes a unit lower-triangular system solved by forward
+substitution:
 
     1. per-step curvature matrices  D_i = 2*lam*I + (L + U restricted to
        indices >= i), block-diagonal with a 2*lam*I head block; on the
@@ -23,11 +23,16 @@ system solved by forward substitution:
        that row packs f_m and row i of I - B; and source vector
        a_i = f_m . (N[i:n, i] - h~[i:n]) for i < n, with the terminal entry
        a_n = (N[n, n] - h~_n) / (2*lam), whose h~ part does not depend on
-       the signal,
+       the signal. The OU forecasts N[k, i] = s_k * e_{k-i} * I_i make the
+       signal part I_i * c_i with c_i = f_m . (s * e_{.-i})[i:n] and c_n = 0,
+       so one O(n^2) pass per scenario builds c next to the h~ part and a
+       path's source costs O(n), with no forecast matrix; a tabulated
+       signal's user forecast is contracted with the rows as it stands,
     4. u = (I - B)^{-1} a by blocked forward substitution, O(n^2): the
        unit lower-triangular diagonal blocks of I - B are inverted once,
        so each block of u costs one product with the rows before it and
-       one with its block inverse.
+       one with its block inverse. With an OU or zero signal, no array of a
+       solve is larger than the (n+1, n) rows.
 
 The scheme requires a zero running inventory penalty (phi = 0); scenarios
 with phi > 0 are handled by the direct quadratic-program route in
@@ -40,11 +45,21 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InputError, NumericError
 from .kernels import IntegratedIncrements, PropagatorKernel, integrated_increments
 from .model import ScenarioParams, StrategyPath, TimeGrid, evaluate_objective, rollout
-from .signals import SignalModel, forecast_matrix, price_path, simulate_signal
+from .signals import (
+    OUSignal,
+    SignalModel,
+    ZeroSignal,
+    forecast_diagonal,
+    forecast_matrix,
+    ou_forecast_factors,
+    price_path,
+    simulate_signal,
+)
 
 __all__ = [
     "dense_curvature",
@@ -226,11 +241,15 @@ class NystromEngine:
     Builds once, in O(n^2) time, the rows f_m and I - B packed in ``rows``
     (from ``response_rows``), the inverses of the diagonal blocks of I - B
     in ``block_inverses`` and the signal-free offset -f_m . h~[i:n] of the
-    source vector, -h~_n / (2*lam) at i = n. A realized path then costs one
-    forecast matrix, one contraction with the rows and one blocked forward
-    substitution: O(n^2) work; a batch of paths takes matrix products in
-    place of matrix-vector products. Used by the Monte Carlo engine, where
-    only the source changes per path.
+    source vector, -h~_n / (2*lam) at i = n. For OU and zero signals the
+    forecasts N[k, i] = s_k * e_{k-i} * I_i make the source affine in the
+    path, a = I * c + offset, and the same blocked pass builds
+    c_i = f_m . (s * e_{.-i})[i:n], with c_n = 0 (s_n = 0), and c = 0 for a
+    zero signal; ``c`` is None for a tabulated signal, whose user forecast
+    goes through ``source_vector``. A realized path then costs its source
+    and one blocked forward substitution: O(n) and O(n^2) work; a batch of
+    paths takes matrix products in place of matrix-vector products. Used by
+    the Monte Carlo engine, where only the source changes per path.
     """
 
     def __init__(self, params: ScenarioParams, kernel: PropagatorKernel,
@@ -242,17 +261,47 @@ class NystromEngine:
         self.inc = integrated_increments(kernel, params, grid)
         self.rows = response_rows(self.inc, params, grid)
         self.block_inverses = _diagonal_block_inverses(self.rows)
+        n = grid.n
         h_tilde = params.h0_values(grid) - 2.0 * params.varrho * params.q
-        # -f_m . h~[i:n] over blocks of rows, never a full (n+1)^2 temporary
-        self.offset = -np.concatenate([np.triu(self.rows[r0:r0 + _BLOCK, r0:]) @ h_tilde[r0:-1]
-                                       for r0 in range(0, grid.n + 1, _BLOCK)])
+        self.offset = np.empty(n + 1)
+        self.c = np.zeros(n + 1) if isinstance(signal, (OUSignal, ZeroSignal)) else None
+        ou = isinstance(signal, OUSignal)
+        if ou:
+            decay, scale = ou_forecast_factors(signal, grid)
+        # blocks of rows, never a full (n+1)^2 temporary
+        for r0 in range(0, n + 1, _BLOCK):
+            block = self.rows[r0:r0 + _BLOCK, r0:]
+            r1 = r0 + block.shape[0]
+            self.offset[r0:r1] = -(np.triu(block) @ h_tilde[r0:-1])
+            if ou:
+                # win[i - r0, k - r0] = e_{k-i} for k >= i and 0 below: the
+                # upper triangle of a Toeplitz view, so no triu copy is made
+                line = np.concatenate((np.zeros(r1 - r0 - 1), decay[:n - r0]))
+                win = sliding_window_view(line, n - r0)[::-1]
+                self.c[r0:r1] = np.einsum("ik,ik,k->i", block, win, scale[r0:n])
         self.offset[-1] = -h_tilde[-1] / (2.0 * params.lam)
+
+    def source_for_path(self, signal_path: np.ndarray) -> np.ndarray:
+        """Source vector of one realized path: I * c + offset for OU and zero signals.
+
+        A tabulated signal's user forecast is not affine in the path: its
+        source is ``source_vector`` of the forecast matrix.
+        """
+        if self.c is None:
+            return self.source_vector(forecast_matrix(self.signal, signal_path, self.grid))
+        path = np.asarray(signal_path, dtype=float)
+        if path.shape != self.c.shape:
+            raise InputError(f"signal path has shape {path.shape}, expected {self.c.shape}")
+        return path * self.c + self.offset
 
     def source_vector(self, forecasts: np.ndarray) -> np.ndarray:
         """a_i = f_m . N[i:n, i], and N[n, n] / (2*lam) at i = n, plus the offset.
 
-        N must be zero above the diagonal, as ``forecast_matrix`` guarantees:
-        the contraction runs over whole rows of ``rows``, I - B part included.
+        The source of a tabulated signal's user forecast and, per path, of
+        the Monte Carlo rule; for OU and zero signals, the reference that
+        ``source_for_path`` is tested against. N must be zero above the
+        diagonal, as ``forecast_matrix`` guarantees: the contraction runs
+        over whole rows of ``rows``, I - B part included.
         """
         n = self.grid.n
         if forecasts.shape != (n + 1, n + 1):
@@ -288,6 +337,10 @@ class NystromEngine:
 
     def speeds_for_paths(self, signal_paths: np.ndarray) -> np.ndarray:
         """Optimal speeds for a batch of realized paths, shape (n_paths, n+1)."""
+        # Per path through the forecast matrix on purpose: the benchmark's
+        # self-test pins one forecast_matrix call per Monte Carlo path and
+        # patches speed_for_path. Once those pins relax, OU and zero signals
+        # take one line: self._speeds(paths * self.c + self.offset).
         sources = np.array([
             self.source_vector(forecast_matrix(self.signal, p, self.grid))
             for p in signal_paths
@@ -317,12 +370,11 @@ def solve_scenario_detail(params: ScenarioParams, kernel: PropagatorKernel,
     engine = NystromEngine(params, kernel, grid, signal)
     if signal_path is None:
         signal_path = simulate_signal(signal, grid, seed)
-    forecasts = forecast_matrix(signal, signal_path, grid)
-    a = engine.source_vector(forecasts)
+    a = engine.source_for_path(signal_path)
     strat = rollout(engine._speeds(a), params, grid, kernel, signal_values=signal_path)
     breakdown = evaluate_objective(strat, params, grid, price_path(signal_path, grid))
-    return ScenarioSolution(path=replace(strat, objective=breakdown),
-                            source=a, forecast_diag=np.diag(forecasts).copy())
+    return ScenarioSolution(path=replace(strat, objective=breakdown), source=a,
+                            forecast_diag=forecast_diagonal(signal, signal_path, grid))
 
 
 def solve_scenario(params: ScenarioParams, kernel: PropagatorKernel,

@@ -7,11 +7,14 @@ unchanged when the signal is independent of the martingale). On the grid,
 
     P_k = dt * sum_{j<k} I_j.
 
-The solver consumes the signal exclusively through the forecast matrix
+The solver consumes the signal through the forecasts
 N[k, j] = E[P_{t_k} - P_T | info at t_j]. For an Ornstein-Uhlenbeck signal
-it is N[k, j] = s_k * e_{k-j} * I_j on k >= j, with e_m = exp(-gamma m dt)
+they are N[k, j] = s_k * e_{k-j} * I_j on k >= j, with e_m = exp(-gamma m dt)
 and s_k = expm1(gamma (t_k - t_n)) / gamma (s_k = t_k - t_n, e = 1 as
-gamma -> 0): a lower-Toeplitz matrix scaled by rows and by columns.
+gamma -> 0): a lower-Toeplitz matrix scaled by rows and by columns. The
+grid solver reads only the factors e and s (``ou_forecast_factors``), since
+its source is then affine in the path; it builds the dense matrix
+(``forecast_matrix``) only for a tabulated signal's user forecast.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ __all__ = [
     "TabulatedSignal",
     "simulate_signal",
     "forecast_matrix",
+    "ou_forecast_factors",
+    "forecast_diagonal",
     "price_path",
 ]
 
@@ -177,6 +182,38 @@ def simulate_signal(model: SignalModel, grid: TimeGrid, seed: int = 0,
     return out[0] if squeeze else out
 
 
+def ou_forecast_factors(model: OUSignal, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The factors e_m and s_k of the OU forecasts N[k, j] = s_k * e_{k-j} * I_j.
+
+    Both have n+1 entries, with e_0 = 1 and s_n = 0; see the module docstring.
+    """
+    t_rel = grid.t - grid.t[-1]  # t_k - t_n, +0.0 on the last row
+    g = model.gamma
+    if g < _GAMMA_EPS:
+        return np.ones(grid.n + 1), t_rel
+    return np.exp(-g * grid.dt * np.arange(grid.n + 1)), np.expm1(g * t_rel) / g
+
+
+def forecast_diagonal(model: SignalModel, path: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Same-time forecasts N[k, k] of one path, without the matrix for OU and zero signals.
+
+    For OU they are s_k * I_k, equal bit for bit to the diagonal of
+    ``forecast_matrix``, because e_0 = 1.
+    """
+    if isinstance(model, OUSignal):
+        return ou_forecast_factors(model, grid)[1] * _as_path(path, grid)
+    if isinstance(model, ZeroSignal):
+        return np.zeros(grid.n + 1)
+    return np.diag(forecast_matrix(model, path, grid)).copy()
+
+
+def _as_path(path: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    path = np.asarray(path, dtype=float)
+    if path.shape != (grid.n + 1,):
+        raise InputError(f"signal path has shape {path.shape}, expected ({grid.n + 1},)")
+    return path
+
+
 def forecast_matrix(model: SignalModel, path: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Forecasts N[k, j] = E[P_{t_k} - P_T | info at t_j], zero for k < j.
 
@@ -191,11 +228,8 @@ def forecast_matrix(model: SignalModel, path: np.ndarray, grid: TimeGrid) -> np.
     and overflows for no gamma T. Tabulated signals must carry a
     user-supplied forecast matrix. Every forecast matrix is column-major.
     """
-    n, dt = grid.n, grid.dt
-    path = np.asarray(path, dtype=float)
-    if path.shape != (n + 1,):
-        raise InputError(f"signal path has shape {path.shape}, expected ({n + 1},)")
-
+    n = grid.n
+    path = _as_path(path, grid)
     if isinstance(model, ZeroSignal):
         return np.zeros((n + 1, n + 1), order="F")
     if isinstance(model, TabulatedSignal):
@@ -212,12 +246,7 @@ def forecast_matrix(model: SignalModel, path: np.ndarray, grid: TimeGrid) -> np.
     if not isinstance(model, OUSignal):
         raise InputError(f"unknown signal model {type(model).__name__}")
 
-    t_rel = grid.t - grid.t[-1]  # t_k - t_n, +0.0 on the last row
-    g = model.gamma
-    if g < _GAMMA_EPS:
-        decay, scale = np.ones(n + 1), t_rel
-    else:
-        decay, scale = np.exp(-g * dt * np.arange(n + 1)), np.expm1(g * t_rel) / g
+    decay, scale = ou_forecast_factors(model, grid)
     # built as the row-major transpose N^T[j, k] = e_{k-j} * s_k * I_j, so
     # that N is column-major: the solver contracts each column of N with a
     # row of its response matrix

@@ -291,7 +291,41 @@ def tabulated_signal_config(tmp_path, mode, extra=""):
     return cfg
 
 
+def nonconcave_kernel_config(tmp_path, lam, mode="solve", extra=""):
+    """Grid values 1 on [0, 0.5) and -0.6 after, T = 10, n = 50: a kernel whose
+    discrete objective is concave at lambda = 0.5 and not at lambda = 0.05."""
+    t = np.linspace(0.0, 10.0, 51)
+    values = np.where(t < 0.5, 1.0, -0.6)
+    (tmp_path / "kernel.csv").write_text("\n".join(map(repr, values.tolist())) + "\n")
+    cfg = tmp_path / "nonconcave.cfg"
+    cfg.write_text(f"mode = {mode}\noutput_dir = {tmp_path / 'o'}\ngrid.n = 50\n"
+                   f"scenario.lambda = {lam}\nkernel.type = tabulated\nkernel.csv = kernel.csv\n"
+                   f"{extra}\n")
+    return cfg
+
+
 class TestMain:
+    def test_nonconcave_tabulated_kernel_exits_2(self, tmp_path, capsys):
+        assert main(["--config", str(nonconcave_kernel_config(tmp_path, 0.05))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "not strictly concave" in err
+        assert "scenario.lambda = 0.05" in err and "grid step 1" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_nonconcave_sweep_point_exits_2_before_any_output(self, tmp_path, capsys):
+        extra = "sweep.param = scenario.lambda\nsweep.values = 0.5, 0.05"
+        assert main(["--config", str(nonconcave_kernel_config(tmp_path, 0.5, "sweep", extra))]) == 2
+        err = capsys.readouterr().err
+        assert "sweep point 0.05" in err and "not strictly concave" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("lam, mode, extra", [
+        (0.5, "solve", ""),
+        (0.05, "mc", "mc.n_paths = 4\nmc.strategies = twap"),
+    ], ids=["concave", "twap-only-mc"])
+    def test_tabulated_kernel_runs_where_nothing_is_nonconcave(self, tmp_path, lam, mode, extra):
+        assert main(["--config", str(nonconcave_kernel_config(tmp_path, lam, mode, extra))]) == 0
+
     @pytest.mark.parametrize("mode, extra", [
         ("solve", ""),
         ("sweep", "sweep.param = scenario.q\nsweep.values = 5, 10"),
@@ -393,7 +427,7 @@ class TestMain:
 
     @pytest.mark.parametrize("mode, key, value, stage", [
         ("solve", "signal.sigma", "1e300", "objective"),
-        ("solve", "signal.I0", "1e308", "source vector"),
+        ("solve", "signal.I0", "1e308", "objective"),
         ("solve", "scenario.q", "1e308", "source vector"),
         ("mc", "scenario.q", "1e308", "source vector"),
         ("solve", "scenario.lambda", "1e-320", "source vector"),

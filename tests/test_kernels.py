@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.integrate as si
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from exec_solver import (
     BoundedPowerLawKernel,
@@ -15,11 +17,13 @@ from exec_solver import (
     ScenarioParams,
     TabulatedKernel,
     TimeGrid,
+    ModelError,
     ZeroKernel,
+    assemble_qp,
     check_nonnegative_definite,
     integrated_increments,
 )
-from exec_solver.kernels import _cell_values, _gram_first_row
+from exec_solver.kernels import _cell_values, _gram_first_row, concavity_failure
 
 ALL_DECAYING = [
     ExponentialKernel(1.0, 0.5),
@@ -404,3 +408,66 @@ class TestDefiniteness:
         report = check_nonnegative_definite(exp_kernel, TimeGrid.uniform(10.0, 16))
         assert bool(report) is True
         assert report.matrix_norm > 0
+
+
+def concavity_counterexample(lam):
+    """Grid values 1 on [0, 0.5) and -0.6 after, T = 10, n = 50."""
+    grid = TimeGrid.uniform(10.0, 50)
+    kernel = TabulatedKernel.from_grid_values(grid, np.where(grid.t < 0.5, 1.0, -0.6))
+    return kernel, ScenarioParams(q=10.0, T=10.0, lam=lam, varrho=4.0), grid
+
+
+def dense_concave(kernel, params, grid):
+    """The oracle's verdict (a dense Cholesky of -H_a) and -H_a's smallest eigenvalue
+    over its largest."""
+    inc = integrated_increments(kernel, params, grid)
+    n, dt = grid.n, grid.dt
+    lg = inc.LG[:n, :n]
+    neg_h = 2.0 * params.lam * dt * np.eye(n) + dt * (lg + lg.T) + 2.0 * params.varrho * dt**2
+    eigs = np.linalg.eigvalsh(neg_h)
+    try:
+        assemble_qp(params, inc, grid, np.zeros(n + 1))
+    except ModelError:
+        return False, eigs[0] / np.max(np.abs(eigs)), neg_h
+    return True, eigs[0] / np.max(np.abs(eigs)), neg_h
+
+
+class TestConcavity:
+    def test_counterexample_fails_at_small_lambda_only(self):
+        assert concavity_failure(*concavity_counterexample(0.5)) is None
+        assert dense_concave(*concavity_counterexample(0.5))[0]
+        failure = concavity_failure(*concavity_counterexample(0.05))
+        assert failure is not None and not dense_concave(*concavity_counterexample(0.05))[0]
+
+    @pytest.mark.parametrize("lam", [0.05, 0.005])
+    def test_failing_step_and_pivot_match_the_dense_matrix(self, lam):
+        # the section before the failing step is positive definite, and the
+        # pivot is the ratio of the leading minors on either side of it
+        _, _, neg_h = dense_concave(*concavity_counterexample(lam))
+        step, pivot = concavity_failure(*concavity_counterexample(lam))
+        if step:
+            np.linalg.cholesky(neg_h[:step, :step])
+        minor = np.linalg.det(neg_h[:step, :step]) if step else 1.0
+        assert pivot < 0.0
+        assert pivot == pytest.approx(np.linalg.det(neg_h[:step + 1, :step + 1]) / minor, rel=1e-10)
+
+    def test_closed_form_kernels_at_a_fine_grid_pass(self):
+        grid = TimeGrid.uniform(10.0, 400)
+        params = ScenarioParams(q=10.0, T=10.0, lam=0.5, varrho=4.0)
+        for kernel in ALL_DECAYING + [ZeroKernel()]:
+            assert concavity_failure(kernel, params, grid) is None, kernel
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 64), lam=st.sampled_from([0.5, 0.05, 0.005]),
+           varrho=st.sampled_from([0.0, 4.0]))
+    def test_verdict_matches_dense_cholesky(self, data, n, lam, varrho):
+        values = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n + 1, max_size=n + 1))
+        grid = TimeGrid.uniform(10.0, n)
+        kernel = TabulatedKernel.from_grid_values(grid, values)
+        params = ScenarioParams(q=10.0, T=10.0, lam=lam, varrho=varrho)
+        concave, min_eig, _ = dense_concave(kernel, params, grid)
+        # a matrix singular to working precision has no reliable verdict:
+        # simple tables hit exact singularity, e.g. constant values c with
+        # c dt = 2 lam
+        assume(abs(min_eig) > 1e-10)
+        assert (concavity_failure(kernel, params, grid) is None) == concave

@@ -28,6 +28,7 @@ from exec_solver import (
     solve_speed,
 )
 import exec_solver.nystrom as nystrom_mod
+import exec_solver.signals as signals_mod
 from exec_solver.nystrom import response_rows
 from exec_solver.signals import forecast_matrix, simulate_signal
 
@@ -472,6 +473,58 @@ class TestEngine:
             scale[n] = (abs(N[n, n]) + abs(h_tilde[n])) / two_lam
             assert np.all(np.abs(engine.source_vector(N) - want) <= 1e-13 * scale)
 
+    @pytest.mark.parametrize("n", [2, 3, 128, 129, 300])
+    def test_affine_source_matches_forecast_matrix_route(self, n, frac_kernel):
+        # a = I * c + offset against the contraction with the dense OU
+        # forecasts; n = 128 ends on a block of the terminal row alone and
+        # n = 129 crosses the 128-row block edge. At gamma = 80, e underflows
+        params = ScenarioParams(q=10.0, T=10.0, lam=0.5, varrho=4.0, h0=0.3)
+        grid = TimeGrid.uniform(10.0, n)
+        signals = [OUSignal(I0=2.0, gamma=gamma, sigma=sigma)
+                   for gamma in (0.0, 1e-13, 0.3, 80.0) for sigma in (0.0, 0.5)]
+        for sig in signals + [ZeroSignal()]:
+            engine = NystromEngine(params, frac_kernel, grid, sig)
+            for seed in (1, 2):
+                path = simulate_signal(sig, grid, seed=seed)
+                N = forecast_matrix(sig, path, grid)
+                want = engine.source_vector(N)
+                a = engine.source_for_path(path)
+                assert np.max(np.abs(a - want)) <= 1e-15 * np.max(np.abs(want)), sig
+                detail = solve_scenario_detail(params, frac_kernel, sig, grid, signal_path=path)
+                assert np.array_equal(detail.source, a)
+                assert np.array_equal(detail.forecast_diag, np.diag(N)), sig
+
+    def test_solve_builds_no_forecast_matrix(self, monkeypatch, fig1_params, frac_kernel):
+        def refuse(*args):
+            raise AssertionError("forecast matrix built")
+
+        monkeypatch.setattr(nystrom_mod, "forecast_matrix", refuse)
+        monkeypatch.setattr(signals_mod, "forecast_matrix", refuse)
+        grid = TimeGrid.uniform(10.0, 32)
+        for sig in (OUSignal(I0=2.0, gamma=0.3, sigma=0.5), ZeroSignal()):
+            assert np.all(np.isfinite(solve_scenario(fig1_params, frac_kernel, sig, grid).u))
+
+    def test_tabulated_forecast_goes_through_source_vector(self, fig1_params, exp_kernel, rng):
+        n = 16
+        grid = TimeGrid.uniform(10.0, n)
+        values = rng.normal(size=n + 1)
+        sig = TabulatedSignal(values, forecast=np.tril(rng.normal(size=(n + 1, n + 1))))
+        engine = NystromEngine(fig1_params, exp_kernel, grid, sig)
+        assert engine.c is None
+        N = forecast_matrix(sig, values, grid)
+        assert np.array_equal(engine.source_for_path(values), engine.source_vector(N))
+        detail = solve_scenario_detail(fig1_params, exp_kernel, sig, grid)
+        assert np.array_equal(detail.forecast_diag, np.diag(N))
+
+    def test_source_for_path_checks_the_path_shape(self, fig1_params, exp_kernel):
+        grid = TimeGrid.uniform(10.0, 8)
+        for sig in (OUSignal(I0=2.0, gamma=0.3, sigma=0.5), ZeroSignal()):
+            engine = NystromEngine(fig1_params, exp_kernel, grid, sig)
+            with pytest.raises(InputError, match="signal path"):
+                engine.source_for_path(np.zeros(8))
+        with pytest.raises(InputError, match="signal path"):
+            signals_mod.forecast_diagonal(OUSignal(I0=2.0, gamma=0.3, sigma=0.5), np.zeros(8), grid)
+
     @pytest.mark.parametrize("n", [2, 3, 16, 200])
     def test_batch_speeds_match_single_paths(self, n, fig1_params, frac_kernel, rng):
         grid = TimeGrid.uniform(10.0, n)
@@ -507,7 +560,8 @@ class TestEngine:
         grid = TimeGrid.uniform(10.0, 16)
         engine = NystromEngine(fig1_params, exp_kernel, grid, ZeroSignal())
         held = {k: v for k, v in vars(engine).items() if isinstance(v, np.ndarray)}
-        assert set(held) == {"rows", "block_inverses", "offset"}
+        assert set(held) == {"rows", "block_inverses", "offset", "c"}
+        assert held["offset"].shape == held["c"].shape == (17,) and np.all(held["c"] == 0.0)
         rows = held["rows"]
         assert rows.shape == (17, 16) and rows.dtype == float and rows.flags.c_contiguous
         # B = -tril(F L), with row n of B equal to -L[n] / (2 lam)
