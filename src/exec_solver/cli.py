@@ -228,6 +228,11 @@ def _build_scenario(kv, base_dir: Path, n: int) -> ScenarioParams:
         raise ConfigError(f"infeasible scenario parameters: {exc}") from exc
 
 
+_KERNEL_TYPES = {ZeroKernel: "zero", ExponentialKernel: "exponential",
+                 FractionalKernel: "fractional", BoundedPowerLawKernel: "bounded_power_law",
+                 TabulatedKernel: "tabulated"}
+
+
 def _build_kernel(kv, base_dir: Path, grid: TimeGrid) -> PropagatorKernel:
     kind = kv["kernel.type"][0]
     try:
@@ -379,21 +384,21 @@ def parse_config(text: str, base_dir: Path | str = ".",
 
 
 def _require_concave(case, grid: TimeGrid, where: str):
-    """Reject a tabulated kernel whose discrete objective has no maximum.
+    """Reject a kernel whose discrete objective has no maximum on this grid.
 
-    The closed-form kernels, nonnegative definite in the continuum, skip
-    the check.
+    Every kernel type is checked: a closed-form kernel that is nonnegative
+    definite in the continuum can still lose concavity on a coarse grid or
+    at small lambda. ``concavity_failure`` certifies most kernels in O(n)
+    and runs its O(n^2) Schur pass on the rest.
     """
-    if not isinstance(case.kernel, TabulatedKernel):
-        return
     failure = concavity_failure(case.kernel, case.scenario, grid)
     if failure is not None:
         step, pivot = failure
         raise ConfigError(
-            f"{where}kernel.csv: the discrete objective is not strictly concave at "
-            f"scenario.lambda = {case.scenario.lam!r}: its Hessian pivot at grid step "
-            f"{step} is {pivot:.3g}, so the kernel is not nonnegative definite at this "
-            "resolution"
+            f"{where}kernel.type = {_KERNEL_TYPES[type(case.kernel)]}: the discrete "
+            f"objective is not strictly concave at scenario.lambda = {case.scenario.lam!r}: "
+            f"its Hessian pivot at grid step {step} is {pivot:.3g}, so the kernel is not "
+            "nonnegative definite at this resolution"
         )
 
 
@@ -414,7 +419,8 @@ def _fmt(x) -> str:
 
 
 def _write_lines(path: Path, lines: list[str]) -> Path:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with path.open("w", encoding="utf-8") as f:
+        f.writelines(f"{line}\n" for line in lines)
     log.info("wrote %s", path)
     return path
 
@@ -426,13 +432,28 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
     return _write_lines(path, lines)
 
 
-def _write_path_csv(out: Path, name: str, solution, grid: TimeGrid) -> Path:
-    sp = solution.path
+def _format_column(values) -> list[str]:
     # tolist() yields Python floats, whose repr is _fmt of the same doubles
-    table = np.column_stack((grid.t, sp.I, solution.forecast_diag, solution.source,
-                             sp.u, sp.Q, sp.Z)).tolist()
-    lines = ["i,t,I,nu_tt,a,u,Q,Z"]
-    lines += [f"{i},{','.join(map(repr, row))}" for i, row in enumerate(table)]
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def _write_path_csv(out: Path, name: str, solution, grid: TimeGrid,
+                    prefixes: dict[bytes, list[str]]) -> Path:
+    """Write one path table, formatted column by column.
+
+    The grid and signal columns t, I and nu_tt recur across the files of a
+    sweep or compare run. ``prefixes`` maps the bytes of those three
+    columns to the row prefixes ``i,t,I,nu_tt`` they format to, so each
+    distinct set is formatted once per run.
+    """
+    sp = solution.path
+    shared = np.stack((grid.t, sp.I, solution.forecast_diag))
+    key = shared.tobytes()
+    if key not in prefixes:
+        index = map(str, range(grid.n + 1))
+        prefixes[key] = list(map(",".join, zip(index, *map(_format_column, shared))))
+    own = [_format_column(values) for values in (solution.source, sp.u, sp.Q, sp.Z)]
+    lines = ["i,t,I,nu_tt,a,u,Q,Z", *map(",".join, zip(prefixes[key], *own))]
     return _write_lines(out / name, lines)
 
 
@@ -456,7 +477,7 @@ def _fname_token(value) -> str:
 def _run_solve(cfg: RunConfig, out: Path) -> list[Path]:
     sol = solve_scenario_detail(cfg.scenario, cfg.kernel, cfg.signal, cfg.grid, cfg.seed)
     return [
-        _write_path_csv(out, "path.csv", sol, cfg.grid),
+        _write_path_csv(out, "path.csv", sol, cfg.grid, {}),
         _write_breakdown_csv(out, "breakdown.csv", sol.path.objective),
     ]
 
@@ -471,9 +492,10 @@ def _run_cases(cfg: RunConfig, out: Path) -> list[Path]:
     header = _SUMMARY_HEADERS[cfg.mode]
     files = []
     summary = []
+    prefixes = {}
     for case in cfg.cases:
         sol = solve_scenario_detail(case.scenario, case.kernel, case.signal, cfg.grid, cfg.seed)
-        files.append(_write_path_csv(out, case.file_name, sol, cfg.grid))
+        files.append(_write_path_csv(out, case.file_name, sol, cfg.grid, prefixes))
         sp = sol.path
         values = {"u0": sp.u[0], "Q_T": sp.Q[-1], "Z_T": sp.Z[-1], "total": sp.objective.total}
         summary.append([case.label] + [values[column] for column in header[1:]])

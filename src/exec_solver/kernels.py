@@ -400,19 +400,28 @@ def concavity_failure(kernel: PropagatorKernel, params: ScenarioParams,
 
     With phi = 0 the negated Hessian of the discrete objective on the
     active speeds (``oracle.assemble_qp``) is dt * toeplitz(col), with
-    col[0] = 2*lam + aug and col[d] = cell[d-1] + aug. Its leading section
-    of order k+1 is positive definite iff the LDL^T pivots of steps 0..k
-    are positive. The symmetric Schur algorithm (Golub & Van Loan, 4.7)
-    finds them in O(n^2) time and O(n) memory, in place of a dense
-    Cholesky: two generator rows, one shifted a place each step, with the
-    reflection coefficient rho_k = v[k] / u[k] and pivot_k = pivot_{k-1} *
-    (1 - rho_k^2). Dividing both rows by 1 - rho_k^2 keeps u[k] at col[0].
-    Returns the first step whose pivot is not positive, with that pivot
-    of the negated Hessian, or None when every pivot is positive.
+    col[0] = 2*lam + aug and col[d] = cell[d-1] + aug, where aug * J (J all
+    ones) is positive semidefinite.
+
+    An O(n) certificate comes first. If x = col - aug = [2*lam, cell[0],
+    ..., cell[n-2]] is nonnegative, nonincreasing, convex and not constant,
+    toeplitz(x) is positive definite (Polya's criterion: a convex,
+    nonincreasing null sequence has a nonnegative cosine symbol), and so is
+    the Hessian block. Otherwise the leading section of order k+1 is
+    positive definite iff the LDL^T pivots of steps 0..k are positive. The
+    symmetric Schur algorithm (Golub & Van Loan, 4.7) finds them in O(n^2)
+    time and O(n) memory, in place of a dense Cholesky: two generator rows,
+    one shifted a place each step, with the reflection coefficient
+    rho_k = v[k] / u[k] and pivot_k = pivot_{k-1} * (1 - rho_k^2). Dividing
+    both rows by 1 - rho_k^2 keeps u[k] at col[0]. Returns the first step
+    whose pivot is not positive, with that pivot of the negated Hessian, or
+    None when the certificate holds or every pivot is positive.
     """
     n, dt = grid.n, grid.dt
-    aug = 2.0 * params.varrho * dt
-    col = np.concatenate(([2.0 * params.lam], _cell_values(kernel, dt, n - 1))) + aug
+    x = np.concatenate(([2.0 * params.lam], _cell_values(kernel, dt, n - 1)))
+    if _polya_certified(x):
+        return None
+    col = x + 2.0 * params.varrho * dt
     pivot = col[0] * dt
     if not pivot > 0.0:
         return 0, float(pivot)
@@ -429,3 +438,12 @@ def concavity_failure(kernel: PropagatorKernel, params: ScenarioParams,
         head, tail = (head - rho * tail) / shrink, (tail - rho * head) / shrink
         u[:n - k], v[k:] = head, tail
     return None
+
+
+def _polya_certified(x: np.ndarray) -> bool:
+    """Whether the symmetric Toeplitz matrix with first column x is positive
+    definite by Polya's criterion: x nonnegative, nonincreasing and convex,
+    with x[0] > x[-1] so that it is not a multiple of the all-ones matrix."""
+    drop = x[:-1] - x[1:]
+    return bool(x[-1] >= 0.0 and x[0] > x[-1] and np.all(drop >= 0.0)
+                and np.all(drop[:-1] >= drop[1:]))

@@ -191,12 +191,13 @@ def inventory_path(u: np.ndarray, q: float, dt: float) -> np.ndarray:
     """Inventory by the exact left-endpoint recurrence Q_{i+1} = Q_i - u_i dt.
 
     One running difference over [q, u_0 dt, ..., u_{n-1} dt] on the last
-    axis, for one path or a batch, rounds exactly like the recurrence.
+    axis, for one path or a batch, rounds exactly like the recurrence. It
+    runs in place, so the steps array becomes the inventory.
     """
     steps = np.empty(u.shape)
     steps[..., 0] = q
     np.multiply(u[..., :-1], dt, out=steps[..., 1:])
-    return np.subtract.accumulate(steps, axis=-1)
+    return np.subtract.accumulate(steps, axis=-1, out=steps)
 
 
 def rollout(u: np.ndarray, params: ScenarioParams, grid: TimeGrid, kernel,
@@ -224,7 +225,8 @@ def rollout(u: np.ndarray, params: ScenarioParams, grid: TimeGrid, kernel,
         Z = params.h0_values(grid)
         Z[1:] += np.convolve(inc.cell, u[:-1])[:grid.n]
     else:
-        Z = params.h0_values(grid) + u @ inc.LG.T
+        Z = u @ inc.LG.T
+        Z += params.h0_values(grid)
     return StrategyPath(u=u, Q=Q, Z=Z, I=I)
 
 

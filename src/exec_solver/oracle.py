@@ -73,8 +73,11 @@ def assemble_qp(params: ScenarioParams, inc: IntegratedIncrements, grid: TimeGri
     """Expand the discrete objective for a deterministic price path.
 
     Raises ModelError when the active Hessian block is not negative
-    definite, which flags a non-admissible kernel (with lam > 0 and a
-    nonnegative-definite kernel the block is strictly negative definite).
+    definite. Its transient part is the strictly causal cell-integral
+    matrix, not the kernel's continuum quadratic form, so even a
+    nonnegative-definite kernel with lam > 0 can lose concavity on a coarse
+    grid or at small lam (``kernels.concavity_failure`` tests the same
+    block for phi = 0).
     """
     n, dt = grid.n, grid.dt
     price = np.asarray(price, dtype=float)
@@ -187,11 +190,23 @@ def mc_objective(params: ScenarioParams, kernel: PropagatorKernel,
     only on (seed, n_paths), so calling with the same seed for different
     rules evaluates them on common random numbers; paired differences of
     ``samples`` then have reduced variance.
+
+    The rule's speeds are written row by row into one preallocated batch,
+    and ``rollout`` and ``price_path`` allocate one array per result, so
+    the peak holds five (n_paths, n+1) arrays: paths, speeds, inventory,
+    distortion and prices. A rule that returns the wrong shape raises
+    InputError.
     """
     if n_paths < 1:
         raise InputError(f"n_paths must be >= 1, got {n_paths}")
     paths = simulate_signal(signal, grid, seed, n_paths=n_paths)
-    us = np.stack([np.asarray(rule(p), dtype=float) for p in paths])
+    us = np.empty(paths.shape)
+    for row, path in zip(us, paths):
+        u = np.asarray(rule(path), dtype=float)
+        if u.shape != row.shape:
+            raise InputError(f"rule returned speeds of shape {u.shape}, "
+                             f"expected {row.shape}")
+        row[:] = u
     samples = evaluate_objective(rollout(us, params, grid, kernel, signal_values=paths),
                                  params, grid, price_path(paths, grid)).total
     mean = float(np.mean(samples))

@@ -260,13 +260,17 @@ def price_path(signal_values: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Left-endpoint integrated price P_k = dt * sum_{j<k} I_j (martingale part zero).
 
     Accepts a single path (n+1,) or a batch (n_paths, n+1); the integration
-    runs along the last axis.
+    runs along the last axis. The cumulative sum is written into the one
+    output array and scaled by dt in place, with the rounding of
+    dt * cumsum(I[:-1]).
     """
     values = np.asarray(signal_values, dtype=float)
     if values.shape[-1] != grid.n + 1:
         raise InputError(
             f"signal path has {values.shape[-1]} points, grid needs {grid.n + 1}"
         )
-    acc = np.cumsum(values[..., :-1], axis=-1) * grid.dt
-    zero = np.zeros(values.shape[:-1] + (1,))
-    return np.concatenate([zero, acc], axis=-1)
+    out = np.empty(values.shape)
+    out[..., 0] = 0.0
+    np.cumsum(values[..., :-1], axis=-1, out=out[..., 1:])
+    out[..., 1:] *= grid.dt
+    return out

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from exec_solver import ConfigError, NumericError, ScenarioParams, TimeGrid
+import exec_solver.cli as cli_mod
 from exec_solver.cli import load_config, main, parse_config, run
 from exec_solver.kernels import ExponentialKernel, TabulatedKernel
 from exec_solver.model import evaluate_objective, rollout
@@ -46,6 +47,32 @@ NON_FINITE_VALUES = [
     ("kernel.ell0", "inf", "kernel.type = bounded_power_law"),
     ("kernel.beta", "nan", "kernel.type = bounded_power_law"),
 ]
+
+
+_NEAR_PAPER_SIGNAL = ("signal.type = ou\nsignal.I0 = 2.001\nsignal.gamma = 0.2999\n"
+                      "signal.sigma = 0\n")
+
+# the benchmark's solve and sweep workloads at full size
+WORKLOAD_CONFIGS = {
+    "solve_frac_n1000": ("mode = solve\noutput_dir = o\nseed = 7\ngrid.n = 1000\n"
+                         "kernel.type = fractional\nkernel.c = 1\nkernel.alpha = 0.55\n"
+                         + _NEAR_PAPER_SIGNAL),
+    "sweep_bpl_n200": ("mode = sweep\noutput_dir = o\nseed = 7\ngrid.n = 200\n"
+                       "kernel.type = bounded_power_law\nkernel.ell0 = 1\n"
+                       "sweep.param = kernel.beta\n"
+                       "sweep.values = 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0\n"
+                       + _NEAR_PAPER_SIGNAL),
+}
+
+
+def row_wise_path_csv(solution, grid):
+    """The bytes of path.csv formatted row by row, one repr per value."""
+    sp = solution.path
+    table = np.column_stack((grid.t, sp.I, solution.forecast_diag, solution.source,
+                             sp.u, sp.Q, sp.Z)).tolist()
+    lines = ["i,t,I,nu_tt,a,u,Q,Z"]
+    lines += [f"{i},{','.join(map(repr, row))}" for i, row in enumerate(table)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def read_csv(path):
@@ -184,6 +211,43 @@ class TestRun:
         for name in ("path.csv", "breakdown.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("config", [
+        *sorted(p.name for p in CONFIG_DIR.glob("*.cfg")),
+        *WORKLOAD_CONFIGS,
+    ])
+    def test_path_csv_matches_the_row_wise_writer(self, tmp_path, monkeypatch, config):
+        # column-wise formatting, with shared columns formatted once per run,
+        # must write the bytes of one repr per value, row by row
+        write = cli_mod._write_path_csv
+        checked = []
+
+        def checked_write(out, name, solution, grid, formatted):
+            path = write(out, name, solution, grid, formatted)
+            assert path.read_bytes() == row_wise_path_csv(solution, grid)
+            checked.append(name)
+            return path
+
+        monkeypatch.setattr(cli_mod, "_write_path_csv", checked_write)
+        if config in WORKLOAD_CONFIGS:
+            cfg = parse_config(WORKLOAD_CONFIGS[config])
+        else:
+            cfg = load_config(CONFIG_DIR / config)
+        cfg.output_dir = tmp_path / "o"
+        files = run(cfg)
+        assert len(checked) == sum(f.name.startswith("path") for f in files)
+
+    def test_shared_columns_are_formatted_once_per_run(self, tmp_path, monkeypatch):
+        # figure2 compares three kernels on one OU path: t, I and nu_tt are
+        # the same in every file, a, u, Q and Z differ
+        calls = []
+        format_column = cli_mod._format_column
+        monkeypatch.setattr(cli_mod, "_format_column",
+                            lambda values: calls.append(1) or format_column(values))
+        cfg = load_config(CONFIG_DIR / "figure2.cfg")
+        cfg.output_dir = tmp_path / "o"
+        run(cfg)
+        assert len(calls) == 3 + 4 * len(cfg.cases)
+
     def test_mc_byte_identical_reruns(self, tmp_path):
         text = ("mode = mc\noutput_dir = {out}\ngrid.n = 24\nseed = 3\n"
                 "signal.type = ou\nmc.n_paths = 40\n")
@@ -291,6 +355,17 @@ def tabulated_signal_config(tmp_path, mode, extra=""):
     return cfg
 
 
+def solve_cfg_with(tmp_path, mode, keys):
+    """SOLVE_CFG in ``mode`` with each key of ``keys`` set to its value."""
+    text = SOLVE_CFG.format(out=tmp_path / "o").replace("mode = solve", f"mode = {mode}")
+    text = "\n".join(line for line in text.splitlines()
+                     if not line.startswith(tuple(keys)))
+    cfg = tmp_path / "scenario.cfg"
+    cfg.write_text(text + "\nmc.n_paths = 4\n"
+                   + "".join(f"{key} = {value}\n" for key, value in keys.items()))
+    return cfg
+
+
 def nonconcave_kernel_config(tmp_path, lam, mode="solve", extra=""):
     """Grid values 1 on [0, 0.5) and -0.6 after, T = 10, n = 50: a kernel whose
     discrete objective is concave at lambda = 0.5 and not at lambda = 0.05."""
@@ -310,6 +385,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "not strictly concave" in err
         assert "scenario.lambda = 0.05" in err and "grid step 1" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mode, keys, where", [
+        ("solve", "kernel.type = fractional", ""),
+        ("compare", "compare.kernels = zero, fractional", "compare point fractional: "),
+    ], ids=["solve", "compare"])
+    def test_nonconcave_closed_form_kernel_exits_2(self, tmp_path, capsys, mode, keys, where):
+        # the fractional kernel at the default lambda = 0.5 is not concave below n = 60
+        cfg = tmp_path / "frac.cfg"
+        cfg.write_text(f"mode = {mode}\noutput_dir = {tmp_path / 'o'}\ngrid.n = 40\n{keys}\n")
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {where}kernel.type = fractional: ")
+        assert "not strictly concave" in err and "grid step 2 " in err
         assert not (tmp_path / "o").exists()
 
     def test_nonconcave_sweep_point_exits_2_before_any_output(self, tmp_path, capsys):
@@ -425,25 +514,32 @@ class TestMain:
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("mode, key, value, stage", [
-        ("solve", "signal.sigma", "1e300", "objective"),
-        ("solve", "signal.I0", "1e308", "objective"),
-        ("solve", "scenario.q", "1e308", "source vector"),
-        ("mc", "scenario.q", "1e308", "source vector"),
-        ("solve", "scenario.lambda", "1e-320", "source vector"),
-        ("mc", "signal.sigma", "1e300", "objective"),
+    @pytest.mark.parametrize("mode, keys, stage", [
+        ("solve", {"signal.sigma": "1e300"}, "objective"),
+        ("solve", {"signal.I0": "1e308"}, "objective"),
+        ("solve", {"scenario.q": "1e308"}, "source vector"),
+        ("mc", {"scenario.q": "1e308"}, "source vector"),
+        # the zero kernel stays concave at any lambda > 0; the exponential
+        # kernel of SOLVE_CFG is not concave at this lambda and exits 2
+        ("solve", {"scenario.lambda": "1e-320", "kernel.type": "zero"}, "singular"),
+        ("mc", {"signal.sigma": "1e300"}, "objective"),
     ], ids=["sigma", "I0", "q", "q-mc", "lambda", "sigma-mc"])
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning")
-    def test_overflowing_scenario_exits_3(self, tmp_path, capsys, mode, key, value, stage):
+    def test_overflowing_scenario_exits_3(self, tmp_path, capsys, mode, keys, stage):
         # finite inputs whose solution overflows double precision
-        text = SOLVE_CFG.format(out=tmp_path / "o").replace("mode = solve", f"mode = {mode}")
-        text = "\n".join(line for line in text.splitlines() if not line.startswith(key))
-        cfg = tmp_path / "overflow.cfg"
-        cfg.write_text(f"{text}\nmc.n_paths = 4\n{key} = {value}\n")
+        cfg = solve_cfg_with(tmp_path, mode, keys)
         assert main(["--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric error:") and stage in err
+
+    def test_tiny_lambda_with_a_kernel_is_not_concave_exits_2(self, tmp_path, capsys):
+        cfg = solve_cfg_with(tmp_path, "solve", {"scenario.lambda": "1e-320"})
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: kernel.type = exponential:")
+        assert "not strictly concave" in err
+        assert not (tmp_path / "o").exists()
 
     def test_coarse_bounded_power_law_cells_solve(self, tmp_path):
         # cells six times wider than ell0, integrated in closed form like any other
@@ -464,10 +560,11 @@ class TestMain:
             capture_output=True, text=True, env=env, timeout=120)
         assert loaded.returncode == 0 and loaded.stdout.strip() == "[]"
         configs = {
-            "solve": "grid.n = 16\nkernel.type = fractional\nsignal.type = ou",
+            # the fractional kernel at lambda = 0.5 is concave from n = 60 on
+            "solve": "grid.n = 64\nkernel.type = fractional\nsignal.type = ou",
             "sweep": "grid.n = 16\nkernel.type = exponential\n"
                      "sweep.param = kernel.rho\nsweep.values = 0.5, 1",
-            "compare": "grid.n = 16\ncompare.kernels = zero, exponential, fractional, "
+            "compare": "grid.n = 64\ncompare.kernels = zero, exponential, fractional, "
                        "bounded_power_law",
             "mc": "grid.n = 16\nkernel.type = exponential\nsignal.type = ou\nmc.n_paths = 8",
         }
@@ -501,7 +598,6 @@ class TestMain:
     def test_numeric_error_exits_3(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text(SOLVE_CFG.format(out=tmp_path / "o"))
-        import exec_solver.cli as cli_mod
 
         def boom(config):
             raise NumericError("curvature matrix at step 3 is singular")

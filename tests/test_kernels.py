@@ -23,7 +23,12 @@ from exec_solver import (
     check_nonnegative_definite,
     integrated_increments,
 )
-from exec_solver.kernels import _cell_values, _gram_first_row, concavity_failure
+from exec_solver.kernels import (
+    _cell_values,
+    _gram_first_row,
+    _polya_certified,
+    concavity_failure,
+)
 
 ALL_DECAYING = [
     ExponentialKernel(1.0, 0.5),
@@ -471,3 +476,54 @@ class TestConcavity:
         # c dt = 2 lam
         assume(abs(min_eig) > 1e-10)
         assert (concavity_failure(kernel, params, grid) is None) == concave
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 80), log_lam=st.floats(-3.0, math.log10(3.0)),
+           varrho=st.sampled_from([0.0, 4.0]),
+           kind=st.sampled_from(["zero", "exponential", "fractional", "bounded_power_law",
+                                 "tabulated", "convex_table"]))
+    def test_certified_kernels_are_concave(self, data, n, log_lam, varrho, kind):
+        # Polya's certificate may only pass a negative-definite Hessian
+        # block; where it passes, the Schur pass is skipped
+        grid = TimeGrid.uniform(10.0, n)
+        size = st.floats(0.05, 3.0)
+        if kind == "zero":
+            kernel = ZeroKernel()
+        elif kind == "exponential":
+            kernel = ExponentialKernel(data.draw(size), data.draw(st.floats(0.01, 5.0)))
+        elif kind == "fractional":
+            kernel = FractionalKernel(data.draw(size), data.draw(st.floats(0.51, 0.99)))
+        elif kind == "bounded_power_law":
+            kernel = BoundedPowerLawKernel(data.draw(size), data.draw(st.floats(0.1, 3.0)))
+        else:
+            values = np.array(data.draw(st.lists(st.floats(-0.5, 2.0), min_size=n + 1,
+                                                 max_size=n + 1)))
+            if kind == "convex_table":
+                # nonincreasing with shrinking drops: a convex, decaying table
+                drops = np.sort(np.abs(values[1:]))[::-1]
+                values = abs(values[0]) + np.sum(drops) - np.concatenate(([0.0], np.cumsum(drops)))
+            kernel = TabulatedKernel.from_grid_values(grid, values)
+        params = ScenarioParams(q=10.0, T=10.0, lam=10.0**log_lam, varrho=varrho)
+        x = np.concatenate(([2.0 * params.lam], _cell_values(kernel, grid.dt, n - 1)))
+        concave, min_eig, neg_h = dense_concave(kernel, params, grid)
+        if _polya_certified(x):
+            assert concavity_failure(kernel, params, grid) is None
+            # singular to working precision: no Cholesky verdict is reliable
+            assume(abs(min_eig) > 1e-10)
+            np.linalg.cholesky(neg_h)
+            assert concave
+        else:
+            assume(abs(min_eig) > 1e-10)
+            assert (concavity_failure(kernel, params, grid) is None) == concave
+
+
+    def test_constant_cells_at_2_lambda_are_not_certified(self):
+        # x = [1, 1, ..., 1]: nonincreasing and convex, but -H_a = dt * J is
+        # singular, so the certificate must leave it to the Schur pass
+        grid = TimeGrid.uniform(10.0, 10)  # dt = 1
+        kernel = TabulatedKernel.from_grid_values(grid, np.ones(11))
+        params = ScenarioParams(q=10.0, T=10.0, lam=0.5)
+        x = np.concatenate(([2.0 * params.lam], _cell_values(kernel, grid.dt, 9)))
+        assert np.all(x == 1.0) and not _polya_certified(x)
+        assert concavity_failure(kernel, params, grid) == (1, 0.0)
+        assert not dense_concave(kernel, params, grid)[0]

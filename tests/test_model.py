@@ -19,6 +19,7 @@ from exec_solver import (
     integrated_increments,
     rollout,
 )
+from exec_solver.model import inventory_path
 
 
 class TestScenarioParams:
@@ -282,6 +283,30 @@ class TestBatch:
                     assert abs(got - ref) <= 1e-13 * getattr(scale, name), (kernel, name)
                 total_scale = sum(getattr(scale, name) for name in PARTS[:-1])
                 assert abs(bd.total[p] - want.total) <= 1e-13 * total_scale
+
+    @pytest.mark.parametrize("n", [2, 3, 200])
+    def test_in_place_rollout_matches_the_allocating_expressions(self, n, rng):
+        # inventory accumulated in place and h0 added into the distortion
+        # product round exactly like the expressions that allocate
+        grid = TimeGrid.uniform(7.0, n)
+        params = ScenarioParams(q=3, T=7, lam=1, varrho=2, h0=rng.normal(size=n + 1))
+        kernel = FractionalKernel(1.0, 0.7)
+        LG = integrated_increments(kernel, params, grid).LG
+        for u in (rng.normal(size=n + 1), rng.normal(size=(5, n + 1))):
+            steps = np.empty(u.shape)
+            steps[..., 0] = params.q
+            steps[..., 1:] = u[..., :-1] * grid.dt
+            want_q = np.subtract.accumulate(steps, axis=-1)
+            got_q = inventory_path(u, params.q, grid.dt)
+            assert got_q.tobytes() == want_q.tobytes()
+            recurrence = [np.full(u.shape[:-1], params.q)]
+            for i in range(n):
+                recurrence.append(recurrence[-1] - u[..., i] * grid.dt)
+            assert got_q.tobytes() == np.stack(recurrence, axis=-1).tobytes()
+            if u.ndim == 2:
+                want_z = params.h0 + u @ LG.T
+                got_z = rollout(u, params, grid, kernel).Z
+                assert got_z.tobytes() == want_z.tobytes()
 
     def test_part_types(self, fig1_params, exp_kernel, rng):
         grid = TimeGrid.uniform(10, 8)

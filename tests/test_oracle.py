@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from exec_solver import (
     ModelError,
     OUSignal,
     ScenarioParams,
+    StrategyPath,
     TabulatedKernel,
     TimeGrid,
     ZeroKernel,
@@ -218,6 +221,46 @@ class TestMonteCarlo:
         with pytest.raises(InputError, match="shape"):
             mc_objective(fig1_params, exp_kernel, ZeroSignal(), grid,
                          lambda path: np.ones(16), n_paths=3, seed=0)
+
+    @pytest.mark.parametrize("strategy", ["nystrom", "twap"])
+    def test_samples_equal_a_stacked_reference(self, fig1_params, exp_kernel, strategy):
+        # the batch written row by row into one array, against the speeds
+        # stacked from a list and the allocating batch expressions
+        grid = TimeGrid.uniform(10, 40)
+        sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
+        rule = (nystrom_rule(fig1_params, exp_kernel, sig, grid) if strategy == "nystrom"
+                else twap_rule(fig1_params, grid))
+        est = mc_objective(fig1_params, exp_kernel, sig, grid, rule, n_paths=30, seed=8)
+        paths = simulate_signal(sig, grid, 8, n_paths=30)
+        us = np.stack([rule(p) for p in paths])
+        steps = np.empty(us.shape)
+        steps[:, 0] = fig1_params.q
+        steps[:, 1:] = us[:, :-1] * grid.dt
+        LG = integrated_increments(exp_kernel, fig1_params, grid).LG
+        path = StrategyPath(u=us, Q=np.subtract.accumulate(steps, axis=-1),
+                            Z=fig1_params.h0_values(grid) + us @ LG.T, I=paths)
+        prices = np.concatenate([np.zeros((30, 1)),
+                                 np.cumsum(paths[:, :-1], axis=-1) * grid.dt], axis=-1)
+        want = evaluate_objective(path, fig1_params, grid, prices).total
+        assert est.samples.tobytes() == want.tobytes()
+
+    def test_peak_memory_is_five_path_batches(self, fig1_params, exp_kernel):
+        # signal paths, speeds, inventory, distortion and prices: one
+        # (paths, n+1) array each; the allowance covers the per-path
+        # forecast matrix, LG, numpy's ufunc buffers and per-path scalars
+        n, n_paths = 100, 1000
+        grid = TimeGrid.uniform(10, n)
+        sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
+        batch = n_paths * (n + 1) * 8
+        for rule in (nystrom_rule(fig1_params, exp_kernel, sig, grid),
+                     twap_rule(fig1_params, grid)):
+            tracemalloc.start()
+            try:
+                mc_objective(fig1_params, exp_kernel, sig, grid, rule, n_paths, seed=2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 5 * batch + 4 * (n + 1) ** 2 * 8
 
     def test_seed_determinism(self, fig1_params):
         grid = TimeGrid.uniform(10, 16)

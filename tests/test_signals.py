@@ -282,6 +282,17 @@ class TestPricePath:
         P = price_path(I, grid)
         assert np.array_equal(P, np.array([0.0, 1.0, 3.0, 6.0, 10.0]))
 
+    @pytest.mark.parametrize("n", [2, 3, 200])
+    def test_matches_the_concatenated_cumsum_bit_for_bit(self, n, rng):
+        # written into one preallocated output, with the rounding of
+        # [0, dt * cumsum(I[:-1])]
+        grid = TimeGrid.uniform(7.0, n)
+        for values in (rng.normal(size=n + 1), rng.normal(size=(5, n + 1))):
+            acc = np.cumsum(values[..., :-1], axis=-1) * grid.dt
+            want = np.concatenate([np.zeros(values.shape[:-1] + (1,)), acc], axis=-1)
+            got = price_path(values, grid)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_batch_matches_single(self, rng):
         grid = TimeGrid.uniform(4.0, 8)
         batch = rng.normal(size=(6, 9))
