@@ -15,9 +15,10 @@ Config files are flat ``key = value`` text with section prefixes::
 Unknown keys are rejected. Scenario defaults are q=10, T=10, lambda=0.5,
 varrho=4, phi=0, h0=0 with a zero kernel and no signal. Command-line flags
 override keys without editing the text, and every point of a sweep or
-compare run is built while parsing, before any file is written. Floats are
-written with full round-trip precision so re-ingesting an emitted path.csv
-reproduces the reported objective exactly.
+compare run is built while parsing. ``run`` then solves every case (in mc,
+every estimate) and only then writes its tables, so a numeric error leaves
+no partial output. Floats are written with full round-trip precision so
+re-ingesting an emitted path.csv reproduces the reported objective exactly.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric error.
 """
@@ -28,7 +29,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -412,24 +413,13 @@ def load_config(path: Path | str, overrides: dict[str, str] | None = None) -> Ru
 
 
 # ---------------------------------------------------------------------------
-# CSV emission
+# CSV emission. Each mode solves every case first and returns its tables:
+# a file name, a header line and columns, each a list of formatted cells or
+# an array of numbers. ``run`` then writes every table with one writer,
+# which formats a table's numbers just before writing it.
 
 def _fmt(x) -> str:
     return repr(float(x))
-
-
-def _write_lines(path: Path, lines: list[str]) -> Path:
-    with path.open("w", encoding="utf-8") as f:
-        f.writelines(f"{line}\n" for line in lines)
-    log.info("wrote %s", path)
-    return path
-
-
-def _write_csv(path: Path, header: list[str], rows) -> Path:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    return _write_lines(path, lines)
 
 
 def _format_column(values) -> list[str]:
@@ -437,9 +427,8 @@ def _format_column(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
-def _write_path_csv(out: Path, name: str, solution, grid: TimeGrid,
-                    prefixes: dict[bytes, list[str]]) -> Path:
-    """Write one path table, formatted column by column.
+def _path_table(name: str, solution, grid: TimeGrid, prefixes: dict[bytes, list[str]]):
+    """One path table: the row prefixes ``i,t,I,nu_tt``, then a, u, Q and Z.
 
     The grid and signal columns t, I and nu_tt recur across the files of a
     sweep or compare run. ``prefixes`` maps the bytes of those three
@@ -452,21 +441,7 @@ def _write_path_csv(out: Path, name: str, solution, grid: TimeGrid,
     if key not in prefixes:
         index = map(str, range(grid.n + 1))
         prefixes[key] = list(map(",".join, zip(index, *map(_format_column, shared))))
-    own = [_format_column(values) for values in (solution.source, sp.u, sp.Q, sp.Z)]
-    lines = ["i,t,I,nu_tt,a,u,Q,Z", *map(",".join, zip(prefixes[key], *own))]
-    return _write_lines(out / name, lines)
-
-
-def _write_breakdown_csv(out: Path, name: str, breakdown) -> Path:
-    rows = [
-        ("revenue", breakdown.revenue),
-        ("temporary_cost", breakdown.temporary_cost),
-        ("transient_cost", breakdown.transient_cost),
-        ("running_penalty", breakdown.running_penalty),
-        ("terminal_penalty", breakdown.terminal_penalty),
-        ("total", breakdown.total),
-    ]
-    return _write_csv(out / name, ["component", "value"], rows)
+    return name, "i,t,I,nu_tt,a,u,Q,Z", [prefixes[key], solution.source, sp.u, sp.Q, sp.Z]
 
 
 def _fname_token(value) -> str:
@@ -474,60 +449,77 @@ def _fname_token(value) -> str:
     return str(value).replace(".", "p").replace("-", "m").replace("/", "_")
 
 
-def _run_solve(cfg: RunConfig, out: Path) -> list[Path]:
+def _solve_tables(cfg: RunConfig) -> list:
     sol = solve_scenario_detail(cfg.scenario, cfg.kernel, cfg.signal, cfg.grid, cfg.seed)
-    return [
-        _write_path_csv(out, "path.csv", sol, cfg.grid, {}),
-        _write_breakdown_csv(out, "breakdown.csv", sol.path.objective),
-    ]
+    breakdown = sol.path.objective
+    components = [field.name for field in fields(breakdown)]
+    values = np.array([getattr(breakdown, name) for name in components])
+    return [_path_table("path.csv", sol, cfg.grid, {}),
+            ("breakdown.csv", "component,value", [components, values])]
 
 
 _SUMMARY_HEADERS = {"sweep": ["param", "u0", "Q_T", "total"],
                     "compare": ["kernel", "u0", "Q_T", "Z_T", "total"]}
 
 
-def _run_cases(cfg: RunConfig, out: Path) -> list[Path]:
+def _case_tables(cfg: RunConfig) -> list:
     # every case draws the signal path from the same seed, so compare's
     # kernels all trade against one realized path
     header = _SUMMARY_HEADERS[cfg.mode]
-    files = []
-    summary = []
-    prefixes = {}
+    tables, summary, prefixes = [], [], {}
     for case in cfg.cases:
         sol = solve_scenario_detail(case.scenario, case.kernel, case.signal, cfg.grid, cfg.seed)
-        files.append(_write_path_csv(out, case.file_name, sol, cfg.grid, prefixes))
+        tables.append(_path_table(case.file_name, sol, cfg.grid, prefixes))
         sp = sol.path
         values = {"u0": sp.u[0], "Q_T": sp.Q[-1], "Z_T": sp.Z[-1], "total": sp.objective.total}
-        summary.append([case.label] + [values[column] for column in header[1:]])
-    files.append(_write_csv(out / "summary.csv", header, summary))
-    return files
+        summary.append([values[column] for column in header[1:]])
+    labels = [case.label for case in cfg.cases]
+    tables.append(("summary.csv", ",".join(header),
+                   [labels, *map(np.array, zip(*summary))]))
+    return tables
 
 
-def _run_mc(cfg: RunConfig, out: Path) -> list[Path]:
+def _mc_tables(cfg: RunConfig) -> list:
     rules = {
         "nystrom": lambda: nystrom_rule(cfg.scenario, cfg.kernel, cfg.signal, cfg.grid),
         "twap": lambda: twap_rule(cfg.scenario, cfg.grid),
     }
-    rows = []
-    for name in cfg.mc_strategies:
-        est = mc_objective(cfg.scenario, cfg.kernel, cfg.signal, cfg.grid,
-                           rules[name](), cfg.mc_n_paths, cfg.seed)
-        rows.append((name, est.mean, est.stderr, str(est.n_paths), str(est.seed)))
-    return [_write_csv(out / "mc_summary.csv",
-                       ["strategy", "mean", "stderr", "n_paths", "seed"], rows)]
+    estimates = [mc_objective(cfg.scenario, cfg.kernel, cfg.signal, cfg.grid,
+                              rules[name](), cfg.mc_n_paths, cfg.seed)
+                 for name in cfg.mc_strategies]
+    columns = [list(cfg.mc_strategies),
+               np.array([est.mean for est in estimates]),
+               np.array([est.stderr for est in estimates]),
+               [str(est.n_paths) for est in estimates],
+               [str(est.seed) for est in estimates]]
+    return [("mc_summary.csv", "strategy,mean,stderr,n_paths,seed", columns)]
+
+
+def _write_table(path: Path, header: str, columns: list) -> Path:
+    cells = [_format_column(c) if isinstance(c, np.ndarray) else c for c in columns]
+    path.write_text("\n".join([header, *map(",".join, zip(*cells))]) + "\n",
+                    encoding="utf-8")
+    log.info("wrote %s", path)
+    return path
 
 
 def run(cfg: RunConfig) -> list[Path]:
     """Execute a validated config; returns the list of files written.
 
-    An output directory that cannot be created or written is a ConfigError.
+    Every solve returns before the first file is written, so a run that
+    raises NumericError creates no output directory. numpy's floating-point
+    warnings are off while solving: an overflow surfaces as the NumericError
+    of the finiteness check of its stage, under any warning filter. An
+    output directory that cannot be created or written is a ConfigError.
     """
+    build = {"solve": _solve_tables, "sweep": _case_tables,
+             "compare": _case_tables, "mc": _mc_tables}[cfg.mode]
+    with np.errstate(all="ignore"):
+        tables = build(cfg)
     out = cfg.output_dir
-    runner = {"solve": _run_solve, "sweep": _run_cases,
-              "compare": _run_cases, "mc": _run_mc}[cfg.mode]
     try:
         out.mkdir(parents=True, exist_ok=True)
-        return runner(cfg, out)
+        return [_write_table(out / name, header, columns) for name, header, columns in tables]
     except OSError as exc:
         raise ConfigError(f"cannot write output_dir {out}: {exc}") from exc
 

