@@ -507,15 +507,15 @@ def run(cfg: RunConfig) -> list[Path]:
     """Execute a validated config; returns the list of files written.
 
     Every solve returns before the first file is written, so a run that
-    raises NumericError creates no output directory. numpy's floating-point
-    warnings are off while solving: an overflow surfaces as the NumericError
-    of the finiteness check of its stage, under any warning filter. An
-    output directory that cannot be created or written is a ConfigError.
+    raises NumericError creates no output directory. The library's solve
+    and Monte Carlo entry points turn numpy's floating-point warnings off,
+    so an overflow surfaces as the NumericError of the finiteness check of
+    its stage, under any warning filter. An output directory that cannot be
+    created or written is a ConfigError.
     """
     build = {"solve": _solve_tables, "sweep": _case_tables,
              "compare": _case_tables, "mc": _mc_tables}[cfg.mode]
-    with np.errstate(all="ignore"):
-        tables = build(cfg)
+    tables = build(cfg)
     out = cfg.output_dir
     try:
         out.mkdir(parents=True, exist_ok=True)

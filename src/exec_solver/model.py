@@ -219,7 +219,16 @@ def rollout(u: np.ndarray, params: ScenarioParams, grid: TimeGrid, kernel,
     I = np.zeros_like(u) if signal_values is None else np.asarray(signal_values, float)
     _check_paths(grid, u=u, signal_values=I)
 
-    inc = integrated_increments(kernel, params, grid)
+    return _rollout(u, I, params, grid, integrated_increments(kernel, params, grid))
+
+
+def _rollout(u: np.ndarray, I: np.ndarray, params: ScenarioParams, grid: TimeGrid,
+             inc) -> StrategyPath:
+    """``rollout`` of checked speeds and signal values on built increments.
+
+    A caller that rolls out many batches on one grid builds the increments
+    once.
+    """
     Q = inventory_path(u, params.q, grid.dt)
     if u.ndim == 1:
         Z = params.h0_values(grid)

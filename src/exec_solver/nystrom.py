@@ -252,9 +252,12 @@ class NystromEngine:
     paths (``speeds_for_paths``) takes its affine sources and matrix
     products in place of matrix-vector products. The Monte Carlo rule
     ``speed_for_path`` still builds each path's forecast matrix and
-    contracts it with the rows.
+    contracts it with the rows. The build runs with numpy's floating-point
+    warnings off: a section singular to working precision raises the
+    NumericError of its pivot check under any warning filter.
     """
 
+    @np.errstate(all="ignore")
     def __init__(self, params: ScenarioParams, kernel: PropagatorKernel,
                  grid: TimeGrid, signal: SignalModel):
         self.params = params
@@ -365,6 +368,7 @@ class ScenarioSolution:
     forecast_diag: np.ndarray
 
 
+@np.errstate(all="ignore")
 def solve_scenario_detail(params: ScenarioParams, kernel: PropagatorKernel,
                           signal: SignalModel, grid: TimeGrid, seed: int = 0,
                           signal_path: np.ndarray | None = None) -> ScenarioSolution:
@@ -373,7 +377,8 @@ def solve_scenario_detail(params: ScenarioParams, kernel: PropagatorKernel,
     ``signal_path`` overrides simulation (the forecasts still come from the
     signal model); otherwise the path is simulated from ``seed``. The
     returned strategy has inventory, distortion and the objective evaluated
-    against the realized price path.
+    against the realized price path. numpy's floating-point warnings are off
+    inside: an overflow raises NumericError from a finiteness check.
     """
     engine = NystromEngine(params, kernel, grid, signal)
     if signal_path is None:

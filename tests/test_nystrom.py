@@ -587,14 +587,30 @@ class TestEngine:
         assert np.array_equal(sources[0], sources[1])
         assert np.array_equal(speeds[0], speeds[1])
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_failed_substitution_raises(self, fig1_params, exp_kernel):
-        # a finite source whose speeds overflow double precision
+        # a finite source whose speeds overflow double precision, with
+        # numpy's warnings as errors (pytest's filter)
         grid = TimeGrid.uniform(10.0, 8)
-        engine = NystromEngine(fig1_params, exp_kernel, grid, ZeroSignal())
+        sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.0)
+        path = np.full(9, 1e308)
+        engine = NystromEngine(fig1_params, exp_kernel, grid, sig)
+        assert np.all(np.isfinite(engine.source_for_path(path)))
         with pytest.raises(NumericError, match="non-finite optimal speeds"):
-            engine._speeds(np.full(9, 1e308))
+            solve_scenario_detail(fig1_params, exp_kernel, sig, grid, signal_path=path)
+
+    @pytest.mark.parametrize("entry", ["engine", "solve_scenario_detail"])
+    def test_overflowing_rows_raise_numeric_error(self, entry):
+        # the zero kernel at a lambda that overflows the response rows, with
+        # numpy's warnings as errors (pytest's filter): the pivot check
+        # must raise, not the overflow warning of the division by 2 lam
+        params = ScenarioParams(q=10, T=10, lam=1e-320, varrho=4)
+        grid = TimeGrid.uniform(10, 48)
+        sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
+        with pytest.raises(NumericError, match="curvature matrix at step 46 is singular"):
+            if entry == "engine":
+                NystromEngine(params, ZeroKernel(), grid, sig)
+            else:
+                solve_scenario_detail(params, ZeroKernel(), sig, grid)
 
 
 class TestSolveSpeed:

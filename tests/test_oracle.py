@@ -9,6 +9,7 @@ from exec_solver import (
     BoundedPowerLawKernel,
     InputError,
     ModelError,
+    NumericError,
     OUSignal,
     ScenarioParams,
     StrategyPath,
@@ -27,10 +28,21 @@ from exec_solver import (
     solve_scenario,
     twap_rule,
 )
+import exec_solver.kernels as kernels_mod
 import exec_solver.nystrom as nystrom_mod
+import exec_solver.oracle as oracle_mod
 import exec_solver.signals as signals_mod
 from exec_solver.oracle import hat_direction
 from exec_solver.signals import price_path, simulate_signal
+
+
+CHUNK = oracle_mod._CHUNK
+
+
+def make_rule(strategy, params, kernel, signal, grid):
+    if strategy == "nystrom":
+        return nystrom_rule(params, kernel, signal, grid)
+    return twap_rule(params, grid)
 
 
 def deterministic_price(signal, grid):
@@ -230,8 +242,7 @@ class TestMonteCarlo:
         # stacked from a list and the allocating batch expressions
         grid = TimeGrid.uniform(10, 40)
         sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
-        rule = (nystrom_rule(fig1_params, exp_kernel, sig, grid) if strategy == "nystrom"
-                else twap_rule(fig1_params, grid))
+        rule = make_rule(strategy, fig1_params, exp_kernel, sig, grid)
         est = mc_objective(fig1_params, exp_kernel, sig, grid, rule, n_paths=30, seed=8)
         paths = simulate_signal(sig, grid, 8, n_paths=30)
         us = np.stack([rule(p) for p in paths])
@@ -246,23 +257,100 @@ class TestMonteCarlo:
         want = evaluate_objective(path, fig1_params, grid, prices).total
         assert est.samples.tobytes() == want.tobytes()
 
-    def test_peak_memory_is_five_path_batches(self, fig1_params, exp_kernel):
-        # signal paths, speeds, inventory, distortion and prices: one
-        # (paths, n+1) array each; the allowance covers the per-path
-        # forecast matrix, LG, numpy's ufunc buffers and per-path scalars
+    @pytest.mark.parametrize("strategy", ["nystrom", "twap"])
+    @pytest.mark.parametrize("n_paths", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+    def test_chunked_samples_match_the_whole_batch(self, fig1_params, exp_kernel,
+                                                   strategy, n_paths):
+        # up to CHUNK paths run as one chunk, through the very calls of the
+        # whole batch, so the samples are equal. More paths end in a
+        # one-path chunk, whose distortion product BLAS may sum in another
+        # order than the same row of the whole batch
+        grid = TimeGrid.uniform(10, 200)
+        sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
+        rule = make_rule(strategy, fig1_params, exp_kernel, sig, grid)
+        est = mc_objective(fig1_params, exp_kernel, sig, grid, rule, n_paths, seed=9)
+        paths = simulate_signal(sig, grid, 9, n_paths=n_paths)
+        whole = rollout(np.stack([rule(p) for p in paths]), fig1_params, grid, exp_kernel,
+                        signal_values=paths)
+        want = evaluate_objective(whole, fig1_params, grid, price_path(paths, grid)).total
+        if n_paths <= CHUNK:
+            assert est.samples.tobytes() == want.tobytes()
+        else:
+            assert np.all(np.abs(est.samples - want) <= 1e-13 * np.abs(want))
+
+    def test_rule_sees_every_path_once_in_order(self, fig1_params, exp_kernel):
+        # common random numbers: the k-th call gets the k-th simulated path
+        grid = TimeGrid.uniform(10, 16)
+        sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
+        seen = []
+
+        def rule(path):
+            seen.append(path.copy())
+            return np.ones(17)
+
+        n_paths = 2 * CHUNK + 1
+        mc_objective(fig1_params, exp_kernel, sig, grid, rule, n_paths, seed=6)
+        assert np.array_equal(np.array(seen), simulate_signal(sig, grid, 6, n_paths=n_paths))
+
+    def test_wrong_shape_in_a_later_chunk_rejected(self, fig1_params, exp_kernel):
+        grid = TimeGrid.uniform(10, 16)
+        calls = []
+
+        def rule(path):
+            calls.append(None)
+            return np.ones(16 if len(calls) == CHUNK + 2 else 17)
+
+        with pytest.raises(InputError, match=r"shape \(16,\), expected \(17,\)"):
+            mc_objective(fig1_params, exp_kernel, ZeroSignal(), grid, rule, 2 * CHUNK, seed=0)
+        assert len(calls) == CHUNK + 2
+
+    def test_builds_the_increments_once_for_all_chunks(self, fig1_params, exp_kernel,
+                                                       monkeypatch):
+        grid = TimeGrid.uniform(10, 16)
+        sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
+        rule = nystrom_rule(fig1_params, exp_kernel, sig, grid)
+        built = []
+
+        def counted(*args):
+            built.append(None)
+            return integrated_increments(*args)
+
+        for module in (kernels_mod, nystrom_mod, oracle_mod):
+            monkeypatch.setattr(module, "integrated_increments", counted)
+        mc_objective(fig1_params, exp_kernel, sig, grid, rule, 3 * CHUNK + 5, seed=1)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("strategy", ["nystrom", "twap"])
+    def test_overflow_raises_numeric_error(self, fig1_params, exp_kernel, strategy):
+        # finite inputs whose objective overflows, with numpy's warnings as
+        # errors (pytest's filter): the finiteness checks must raise first
+        grid = TimeGrid.uniform(10, 48)
+        sig = OUSignal(I0=2.0, gamma=0.3, sigma=1e300)
+        rule = make_rule(strategy, fig1_params, exp_kernel, sig, grid)
+        with pytest.raises(NumericError, match="non-finite"):
+            mc_objective(fig1_params, exp_kernel, sig, grid, rule, 4, seed=11)
+
+    def test_peak_memory_is_one_path_batch_and_one_chunk(self, fig1_params, exp_kernel):
+        # the signal paths span every path; one chunk's speeds, inventory,
+        # distortion and prices are held at a time. The allowance covers the
+        # per-path forecast matrix, LG, numpy's ufunc buffers, one more
+        # chunk-sized temporary and per-path scalars. A first call imports
+        # modules lazily, about 0.7 MB, so one small call runs untraced first
         n, n_paths = 100, 1000
         grid = TimeGrid.uniform(10, n)
         sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
         batch = n_paths * (n + 1) * 8
+        chunk = CHUNK * (n + 1) * 8
         for rule in (nystrom_rule(fig1_params, exp_kernel, sig, grid),
                      twap_rule(fig1_params, grid)):
+            mc_objective(fig1_params, exp_kernel, sig, grid, rule, 2, seed=2)
             tracemalloc.start()
             try:
                 mc_objective(fig1_params, exp_kernel, sig, grid, rule, n_paths, seed=2)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 5 * batch + 4 * (n + 1) ** 2 * 8
+            assert peak <= batch + 5 * chunk + 4 * (n + 1) ** 2 * 8
 
     def test_seed_determinism(self, fig1_params):
         grid = TimeGrid.uniform(10, 16)
@@ -325,6 +413,15 @@ class TestPerturbation:
                                    n_paths=200, n_perturbations=6, seed=3)
         assert report.passed
         assert len(report.rows) == 24
+
+    def test_overflow_raises_numeric_error(self, fig1_params, exp_kernel):
+        # finite inputs whose objective overflows, with numpy's warnings as
+        # errors (pytest's filter): the finiteness check must raise first
+        grid = TimeGrid.uniform(10, 48)
+        sig = OUSignal(I0=2.0, gamma=0.3, sigma=1e300)
+        with pytest.raises(NumericError, match="non-finite objective"):
+            perturbation_test(fig1_params, exp_kernel, sig, grid, n_paths=4,
+                              n_perturbations=2, seed=11)
 
     def test_batch_builds_no_forecast_matrix(self, fig1_params, monkeypatch):
         # the OU source is affine in the path: the whole batch of speeds
