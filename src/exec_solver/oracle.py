@@ -6,8 +6,8 @@ the first-order condition. This module assembles that quadratic from the
 same left-endpoint rules as ``evaluate_objective`` (an entirely separate
 discretization from the integral-equation solver) and solves it. It also
 provides Monte Carlo estimation plus behavioral optimality tests for
-stochastic signals; both evaluate batches of paths with ``rollout`` and
-``evaluate_objective``.
+stochastic signals; both roll batches of paths out on increments built
+once per call and evaluate them with ``evaluate_objective``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InputError, ModelError, NumericError
 from .kernels import IntegratedIncrements, PropagatorKernel, integrated_increments
-from .model import ScenarioParams, TimeGrid, _rollout, evaluate_objective, rollout
+from .model import ScenarioParams, TimeGrid, _rollout, evaluate_objective
 from .nystrom import NystromEngine
 from .signals import SignalModel, price_path, simulate_signal
 
@@ -286,6 +286,8 @@ def perturbation_test(params: ScenarioParams, kernel: PropagatorKernel,
     E[J(u* + eps v)] - E[J(u*)] is formed on common random numbers; a row
     passes when the estimate is below +2 standard errors (exactly zero
     noise allowance for deterministic signals, up to floating-point dust).
+    Every rollout uses the increments of the solver's engine, so the
+    kernel's cell integrals are built once.
     numpy's floating-point warnings are off inside: an overflow raises
     NumericError from a finiteness check.
     """
@@ -298,7 +300,7 @@ def perturbation_test(params: ScenarioParams, kernel: PropagatorKernel,
     prices = price_path(paths, grid)
 
     def objective(speeds):
-        return evaluate_objective(rollout(speeds, params, grid, kernel, signal_values=paths),
+        return evaluate_objective(_rollout(speeds, paths, params, grid, engine.inc),
                                   params, grid, prices).total
 
     base = objective(us)

@@ -19,7 +19,23 @@ from exec_solver import (
     integrated_increments,
     rollout,
 )
-from exec_solver.model import inventory_path
+from exec_solver.model import inventory_path, toeplitz, toeplitz_view
+
+
+class TestToeplitz:
+    def test_matches_the_entrywise_definition(self, rng):
+        # square and rectangular, down to a single row or column
+        for rows in range(1, 7):
+            for cols in range(1, 7):
+                col, row = rng.normal(size=rows), rng.normal(size=cols)
+                want = np.array([[row[j - k] if j >= k else col[k - j] for j in range(cols)]
+                                 for k in range(rows)])
+                view = toeplitz_view(col, row)
+                copy = toeplitz(col, row)
+                assert view.shape == copy.shape == (rows, cols)
+                assert np.array_equal(view, want) and np.array_equal(copy, want)
+                assert not view.flags.writeable
+                assert copy.flags.c_contiguous and copy.flags.writeable
 
 
 class TestScenarioParams:

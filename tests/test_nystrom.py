@@ -598,6 +598,33 @@ class TestEngine:
         with pytest.raises(NumericError, match="non-finite optimal speeds"):
             solve_scenario_detail(fig1_params, exp_kernel, sig, grid, signal_path=path)
 
+    @pytest.mark.parametrize("method", ["speeds_for_paths", "speed_for_path",
+                                        "source_for_path", "source_vector"])
+    def test_public_methods_raise_numeric_error_on_overflow(self, method):
+        # each public method on its own, with finite inputs whose result
+        # overflows and numpy's warnings as errors (pytest's filter): the
+        # overflow must raise NumericError, not numpy's warning
+        grid = TimeGrid.uniform(10, 8)
+        engine = NystromEngine(ScenarioParams(q=10, T=10, lam=0.5, varrho=4),
+                               ExponentialKernel(1, 0.5), grid,
+                               OUSignal(I0=2, gamma=0.3, sigma=0))
+        big = np.finfo(float).max
+        if method == "speeds_for_paths":
+            arg = np.full((1, 9), 1e308)  # overflows in the substitution
+        elif method == "speed_for_path":
+            arg = np.full(9, 1e308)  # overflows in the forecast matrix
+        elif method == "source_for_path":
+            arg = np.full(9, big)  # |c| > 1 at the start: overflows in I * c
+        else:
+            # a finite lower-triangular forecast of the largest double,
+            # matched in sign to f_m: sum |f_m| > 1 in the first rows, so
+            # the contraction overflows
+            arg = np.zeros((9, 9))
+            for i in range(8):
+                arg[i:8, i] = big * np.sign(engine.rows[i, i:])
+        with pytest.raises(NumericError, match="non-finite"):
+            getattr(engine, method)(arg)
+
     @pytest.mark.parametrize("entry", ["engine", "solve_scenario_detail"])
     def test_overflowing_rows_raise_numeric_error(self, entry):
         # the zero kernel at a lambda that overflows the response rows, with

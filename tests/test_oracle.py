@@ -423,6 +423,42 @@ class TestPerturbation:
             perturbation_test(fig1_params, exp_kernel, sig, grid, n_paths=4,
                               n_perturbations=2, seed=11)
 
+    def test_builds_the_increments_once(self, fig1_params, exp_kernel, monkeypatch):
+        grid = TimeGrid.uniform(10, 48)
+        sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
+        built = []
+
+        def counted(*args):
+            built.append(None)
+            return integrated_increments(*args)
+
+        for module in (kernels_mod, nystrom_mod, oracle_mod):
+            monkeypatch.setattr(module, "integrated_increments", counted)
+        perturbation_test(fig1_params, exp_kernel, sig, grid, n_paths=64,
+                          n_perturbations=3, seed=5)
+        assert len(built) == 1
+
+    def test_rows_match_rollouts_through_public_rollout(self, fig1_params, monkeypatch):
+        # the engine's increments give every rollout bit for bit what the
+        # public rollout, which builds its own, gives
+        grid = TimeGrid.uniform(10, 48)
+        sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
+        kernel = FractionalKernel(1, 0.55)
+
+        def run():
+            return perturbation_test(fig1_params, kernel, sig, grid, n_paths=64,
+                                     n_perturbations=3, seed=5)
+
+        report = run()
+
+        def public(u, I, params, grid, inc):
+            return rollout(u, params, grid, kernel, signal_values=I)
+
+        monkeypatch.setattr(oracle_mod, "_rollout", public)
+        reference = run()
+        assert report.rows == reference.rows and len(report.rows) == 12
+        assert report.base_mean == reference.base_mean
+
     def test_batch_builds_no_forecast_matrix(self, fig1_params, monkeypatch):
         # the OU source is affine in the path: the whole batch of speeds
         # comes from the engine's c and offset, with no per-path forecasts

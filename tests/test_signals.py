@@ -16,6 +16,7 @@ from exec_solver import (
     simulate_signal,
 )
 import exec_solver.signals as signals_mod
+from exec_solver.signals import ou_forecast_factors
 
 
 class TestSimulation:
@@ -172,6 +173,25 @@ class TestForecastMatrix:
         expected = path[j] * (math.exp(-0.3 * (10 - j)) - 1.0) / 0.3
         assert N[j, j] == pytest.approx(expected, rel=1e-13)
         assert N[j, j] != 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 200])
+    def test_entries_are_scale_times_decay_times_signal_bit_for_bit(self, n, rng):
+        # N[k, j] = s_k * e_{k-j} * I_j, multiplied left to right, with
+        # e_{k-j} = 0 above the diagonal: the bits, signed zeros included,
+        # of a column-major array
+        grid = TimeGrid.uniform(10.0, n)
+        model = OUSignal(I0=1.0, gamma=0.3, sigma=0.5)
+        path = rng.normal(size=n + 1)
+        decay, scale = ou_forecast_factors(model, grid)
+        want = np.empty((n + 1, n + 1), order="F")
+        for k in range(n + 1):
+            for j in range(n + 1):
+                want[k, j] = scale[k] * (decay[k - j] if k >= j else 0.0) * path[j]
+        bufsize = np.getbufsize()
+        N = forecast_matrix(model, path, grid)
+        assert np.getbufsize() == bufsize  # the scalings' buffer size is restored
+        assert N.flags.f_contiguous
+        assert N.tobytes(order="F") == want.tobytes(order="F")
 
     def test_zero_signal_all_zero(self):
         grid = TimeGrid.uniform(10.0, 10)
