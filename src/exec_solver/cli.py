@@ -53,17 +53,19 @@ __all__ = ["RunConfig", "parse_config", "load_config", "run", "main"]
 
 log = logging.getLogger("exec_solver")
 
-_SCENARIO_DEFAULTS = {
+# mc strategy -> whether its rule runs the grid solver, and the rule for a config
+_STRATEGIES = {
+    "nystrom": (True, lambda cfg: nystrom_rule(cfg.scenario, cfg.kernel, cfg.signal, cfg.grid)),
+    "twap": (False, lambda cfg: twap_rule(cfg.scenario, cfg.grid)),
+}
+
+_DEFAULTS = {
     "scenario.q": "10",
     "scenario.T": "10",
     "scenario.lambda": "0.5",
     "scenario.varrho": "4",
     "scenario.phi": "0",
     "scenario.h0": "0",
-}
-
-_DEFAULTS = {
-    **_SCENARIO_DEFAULTS,
     "seed": "0",
     "grid.n": "200",
     "kernel.type": "zero",
@@ -76,7 +78,7 @@ _DEFAULTS = {
     "signal.I0": "2",
     "signal.gamma": "0.3",
     "signal.sigma": "0.5",
-    "mc.strategies": "nystrom, twap",
+    "mc.strategies": ", ".join(_STRATEGIES),
 }
 
 _REQUIRED = ("mode", "output_dir")
@@ -92,13 +94,8 @@ _KNOWN_KEYS = set(_DEFAULTS) | set(_REQUIRED) | {
     "mc.n_paths",
 }
 
-_SWEEPABLE = {
-    "scenario.q", "scenario.varrho", "scenario.lambda", "scenario.phi",
-    "kernel.c", "kernel.rho", "kernel.alpha", "kernel.ell0", "kernel.beta",
-    "signal.I0", "signal.gamma", "signal.sigma",
-}
-
-_MODES = ("solve", "sweep", "compare", "mc")
+# a sweep may vary these and the keys that the configured kernel and signal read
+_SWEPT_SCENARIO_KEYS = ("scenario.q", "scenario.lambda", "scenario.varrho", "scenario.phi")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,20 +157,14 @@ def _parse_pairs(text: str, overrides: dict[str, str]) -> dict[str, tuple[str, s
     return pairs
 
 
-def _get_float(kv, key):
+def _get(kv, key, number=float):
+    """The value of ``key`` as a float, or as an int if ``number`` is int."""
     value, where = kv[key]
     try:
-        return float(value)
+        return number(value)
     except ValueError:
-        raise ConfigError(f"{where}: key {key!r} needs a number, got {value!r}") from None
-
-
-def _get_int(kv, key):
-    value, where = kv[key]
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"{where}: key {key!r} needs an integer, got {value!r}") from None
+        need = "an integer" if number is int else "a number"
+        raise ConfigError(f"{where}: key {key!r} needs {need}, got {value!r}") from None
 
 
 def _read_grid_csv(kv, key: str, base_dir: Path, n: int) -> np.ndarray:
@@ -215,74 +206,69 @@ def _build_scenario(kv, base_dir: Path, n: int) -> ScenarioParams:
     if "scenario.h0_csv" in kv:
         h0 = _read_grid_csv(kv, "scenario.h0_csv", base_dir, n)
     else:
-        h0 = _get_float(kv, "scenario.h0")
+        h0 = _get(kv, "scenario.h0")
     try:
-        return ScenarioParams(
-            q=_get_float(kv, "scenario.q"),
-            T=_get_float(kv, "scenario.T"),
-            lam=_get_float(kv, "scenario.lambda"),
-            varrho=_get_float(kv, "scenario.varrho"),
-            phi=_get_float(kv, "scenario.phi"),
-            h0=h0,
-        )
+        # the fields q, T, lam, varrho and phi, in order
+        return ScenarioParams(*(_get(kv, f"scenario.{key}")
+                                for key in ("q", "T", "lambda", "varrho", "phi")), h0=h0)
     except InputError as exc:
         raise ConfigError(f"infeasible scenario parameters: {exc}") from exc
 
 
-_KERNEL_TYPES = {ZeroKernel: "zero", ExponentialKernel: "exponential",
-                 FractionalKernel: "fractional", BoundedPowerLawKernel: "bounded_power_law",
-                 TabulatedKernel: "tabulated"}
+def _tabulated_kernel(kv, base_dir: Path, grid: TimeGrid) -> TabulatedKernel:
+    values = _read_grid_csv(kv, "kernel.csv", base_dir, grid.n)
+    return TabulatedKernel.from_grid_values(grid, values)
 
 
-def _build_kernel(kv, base_dir: Path, grid: TimeGrid) -> PropagatorKernel:
-    kind = kv["kernel.type"][0]
+def _tabulated_signal(kv, base_dir: Path, grid: TimeGrid) -> TabulatedSignal:
+    values = _read_grid_csv(kv, "signal.csv", base_dir, grid.n)
+    forecast = None
+    if "signal.forecast_csv" in kv:
+        forecast = _read_matrix_csv(_resolve(base_dir, kv["signal.forecast_csv"][0]))
+    return TabulatedSignal(values=values, forecast=forecast)
+
+
+# One table per vocabulary, from "<section>.type" to what builds the model: a
+# closed-form class, built from the config keys "<section>.<field>" of its
+# fields, or the CSV reader of a tabulated type.
+_MODELS = {
+    "kernel": {"zero": ZeroKernel, "exponential": ExponentialKernel,
+               "fractional": FractionalKernel, "bounded_power_law": BoundedPowerLawKernel,
+               "tabulated": _tabulated_kernel},
+    "signal": {"zero": ZeroSignal, "ou": OUSignal, "tabulated": _tabulated_signal},
+}
+
+
+def _model_keys(kv, section: str) -> list[str]:
+    """The numeric config keys that the configured model of ``section`` reads."""
+    kind = kv[f"{section}.type"][0]
+    if kind not in _MODELS[section]:
+        raise ConfigError(f"unknown {section}.type {kind!r}")
+    if kind == "tabulated":
+        return []
+    return [f"{section}.{field.name}" for field in fields(_MODELS[section][kind])]
+
+
+def _build_model(kv, section: str, base_dir: Path, grid: TimeGrid):
+    kind = kv[f"{section}.type"][0]
+    keys = _model_keys(kv, section)
+    build = _MODELS[section][kind]
     try:
-        if kind == "zero":
-            return ZeroKernel()
-        if kind == "exponential":
-            return ExponentialKernel(c=_get_float(kv, "kernel.c"), rho=_get_float(kv, "kernel.rho"))
-        if kind == "fractional":
-            return FractionalKernel(c=_get_float(kv, "kernel.c"), alpha=_get_float(kv, "kernel.alpha"))
-        if kind == "bounded_power_law":
-            return BoundedPowerLawKernel(ell0=_get_float(kv, "kernel.ell0"), beta=_get_float(kv, "kernel.beta"))
         if kind == "tabulated":
-            if "kernel.csv" not in kv:
-                raise ConfigError("kernel.type = tabulated requires kernel.csv")
-            values = _read_grid_csv(kv, "kernel.csv", base_dir, grid.n)
-            return TabulatedKernel.from_grid_values(grid, values)
+            if f"{section}.csv" not in kv:
+                raise ConfigError(f"{section}.type = tabulated requires {section}.csv")
+            return build(kv, base_dir, grid)
+        return build(**{key.split(".", 1)[1]: _get(kv, key) for key in keys})
     except InputError as exc:
-        raise ConfigError(f"infeasible kernel parameters: {exc}") from exc
-    raise ConfigError(f"unknown kernel.type {kind!r}")
-
-
-def _build_signal(kv, base_dir: Path, grid: TimeGrid) -> SignalModel:
-    kind = kv["signal.type"][0]
-    try:
-        if kind == "zero":
-            return ZeroSignal()
-        if kind == "ou":
-            return OUSignal(I0=_get_float(kv, "signal.I0"),
-                            gamma=_get_float(kv, "signal.gamma"),
-                            sigma=_get_float(kv, "signal.sigma"))
-        if kind == "tabulated":
-            if "signal.csv" not in kv:
-                raise ConfigError("signal.type = tabulated requires signal.csv")
-            values = _read_grid_csv(kv, "signal.csv", base_dir, grid.n)
-            forecast = None
-            if "signal.forecast_csv" in kv:
-                forecast = _read_matrix_csv(_resolve(base_dir, kv["signal.forecast_csv"][0]))
-            return TabulatedSignal(values=values, forecast=forecast)
-    except InputError as exc:
-        raise ConfigError(f"infeasible signal parameters: {exc}") from exc
-    raise ConfigError(f"unknown signal.type {kind!r}")
+        raise ConfigError(f"infeasible {section} parameters: {exc}") from exc
 
 
 def _build_models(kv, base_dir: Path, n: int):
     """Scenario, kernel and signal of one solve on the n-step grid."""
     scenario = _build_scenario(kv, base_dir, n)
     grid = TimeGrid.uniform(scenario.T, n)
-    kernel = _build_kernel(kv, base_dir, grid)
-    signal = _build_signal(kv, base_dir, grid)
+    kernel = _build_model(kv, "kernel", base_dir, grid)
+    signal = _build_model(kv, "signal", base_dir, grid)
     if scenario.phi != 0.0:
         raise ConfigError(
             "scenario.phi > 0 is outside the grid solver's domain; use the "
@@ -297,10 +283,11 @@ def _build_cases(kv, base_dir: Path, n: int, mode: str) -> tuple[RunCase, ...]:
         if "sweep.param" not in kv or "sweep.values" not in kv:
             raise ConfigError("mode = sweep requires sweep.param and sweep.values")
         param = kv["sweep.param"][0]
-        if param not in _SWEEPABLE:
+        sweepable = [*_SWEPT_SCENARIO_KEYS, *_model_keys(kv, "kernel"), *_model_keys(kv, "signal")]
+        if param not in sweepable:
             raise ConfigError(
                 f"sweep.param {param!r} is not sweepable; choose one of "
-                f"{', '.join(sorted(_SWEEPABLE))}"
+                f"{', '.join(sorted(sweepable))}"
             )
         try:
             values = [float(v) for v in kv["sweep.values"][0].split(",")]
@@ -350,10 +337,10 @@ def parse_config(text: str, base_dir: Path | str = ".",
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(_MODES)}")
 
-    n = _get_int(kv, "grid.n")
+    n = _get(kv, "grid.n", int)
     if n < 2:
         raise ConfigError(f"grid.n must be >= 2, got {n}")
-    seed = _get_int(kv, "seed")
+    seed = _get(kv, "seed", int)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
 
@@ -364,27 +351,32 @@ def parse_config(text: str, base_dir: Path | str = ".",
     elif mode == "mc":
         if "mc.n_paths" not in kv:
             raise ConfigError("mode = mc requires mc.n_paths")
-        n_paths = _get_int(kv, "mc.n_paths")
+        n_paths = _get(kv, "mc.n_paths", int)
         if n_paths < 2:
             raise ConfigError(f"mc.n_paths must be >= 2, got {n_paths}")
-        strategies = tuple(s.strip() for s in kv["mc.strategies"][0].split(","))
-        for s in strategies:
-            if s not in ("nystrom", "twap"):
-                raise ConfigError(f"unknown mc strategy {s!r}; expected nystrom or twap")
+        names, where = kv["mc.strategies"]
+        for name in (part.strip() for part in names.split(",")):
+            if name not in _STRATEGIES:
+                raise ConfigError(f"unknown mc strategy {name!r}; "
+                                  f"expected {' or '.join(_STRATEGIES)}")
+            if name in cfg.mc_strategies:
+                raise ConfigError(f"{where}: repeated mc strategy {name}")
+            cfg.mc_strategies += (name,)
         cfg.mc_n_paths = n_paths
-        cfg.mc_strategies = strategies
-    # the grid solver needs forecasts and a concave objective; a twap-only mc
-    # run merely replays the path
-    if mode != "mc" or "nystrom" in cfg.mc_strategies:
+    # the grid solver needs forecasts and a concave objective; an mc run
+    # whose rules do not solve merely replays the path
+    if mode != "mc" or any(_STRATEGIES[s][0] for s in cfg.mc_strategies):
         if kv["signal.type"][0] == "tabulated" and "signal.forecast_csv" not in kv:
             raise ConfigError("signal.type = tabulated has no closed-form forecast: the grid "
                               "solver needs signal.forecast_csv")
         for case in cfg.cases or (cfg,):
-            _require_concave(case, cfg.grid, f"{mode} point {case.label}: " if cfg.cases else "")
+            kind = case.label if mode == "compare" else kv["kernel.type"][0]
+            _require_concave(case, kind, cfg.grid,
+                             f"{mode} point {case.label}: " if cfg.cases else "")
     return cfg
 
 
-def _require_concave(case, grid: TimeGrid, where: str):
+def _require_concave(case, kind: str, grid: TimeGrid, where: str):
     """Reject a kernel whose discrete objective has no maximum on this grid.
 
     Every kernel type is checked: a closed-form kernel that is nonnegative
@@ -396,10 +388,9 @@ def _require_concave(case, grid: TimeGrid, where: str):
     if failure is not None:
         step, pivot = failure
         raise ConfigError(
-            f"{where}kernel.type = {_KERNEL_TYPES[type(case.kernel)]}: the discrete "
-            f"objective is not strictly concave at scenario.lambda = {case.scenario.lam!r}: "
-            f"its Hessian pivot at grid step {step} is {pivot:.3g}, so the kernel is not "
-            "nonnegative definite at this resolution"
+            f"{where}kernel.type = {kind}: the discrete objective is not strictly concave "
+            f"at scenario.lambda = {case.scenario.lam!r}: its Hessian pivot at grid step {step} "
+            f"is {pivot:.3g}, so the kernel is not nonnegative definite at this resolution"
         )
 
 
@@ -480,12 +471,8 @@ def _case_tables(cfg: RunConfig) -> list:
 
 
 def _mc_tables(cfg: RunConfig) -> list:
-    rules = {
-        "nystrom": lambda: nystrom_rule(cfg.scenario, cfg.kernel, cfg.signal, cfg.grid),
-        "twap": lambda: twap_rule(cfg.scenario, cfg.grid),
-    }
     estimates = [mc_objective(cfg.scenario, cfg.kernel, cfg.signal, cfg.grid,
-                              rules[name](), cfg.mc_n_paths, cfg.seed)
+                              _STRATEGIES[name][1](cfg), cfg.mc_n_paths, cfg.seed)
                  for name in cfg.mc_strategies]
     columns = [list(cfg.mc_strategies),
                np.array([est.mean for est in estimates]),
@@ -493,6 +480,11 @@ def _mc_tables(cfg: RunConfig) -> list:
                [str(est.n_paths) for est in estimates],
                [str(est.seed) for est in estimates]]
     return [("mc_summary.csv", "strategy,mean,stderr,n_paths,seed", columns)]
+
+
+# mode -> what solves the run and returns its tables
+_MODES = {"solve": _solve_tables, "sweep": _case_tables, "compare": _case_tables,
+          "mc": _mc_tables}
 
 
 def _write_table(path: Path, header: str, columns: list) -> Path:
@@ -513,9 +505,7 @@ def run(cfg: RunConfig) -> list[Path]:
     its stage, under any warning filter. An output directory that cannot be
     created or written is a ConfigError.
     """
-    build = {"solve": _solve_tables, "sweep": _case_tables,
-             "compare": _case_tables, "mc": _mc_tables}[cfg.mode]
-    tables = build(cfg)
+    tables = _MODES[cfg.mode](cfg)
     out = cfg.output_dir
     try:
         out.mkdir(parents=True, exist_ok=True)

@@ -7,9 +7,10 @@ weighted by a propagator kernel, and the performance functional is
     J(u) = sum_k (P_k - Z_k) u_k dt - lam * sum_k u_k^2 dt
            + Q_n P_T - phi * sum_k Q_k^2 dt - varrho * Q_n^2,
 
-all time integrals taken with the left-endpoint rule on a uniform grid so
-that the rollout, the direct quadratic-program oracle and the integral
-equation solver all optimize the same discrete objective.
+all time integrals taken with the left-endpoint rule on a uniform grid, so
+that the rollout and the direct quadratic-program oracle share one discrete
+objective. The integral-equation solver discretises the optimality equation
+on its own, so its speeds trail the oracle's optimum by a first-order gap.
 """
 
 from __future__ import annotations

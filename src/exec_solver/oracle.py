@@ -211,12 +211,11 @@ def mc_objective(params: ScenarioParams, kernel: PropagatorKernel,
     speeds, inventory, distortion and prices. The samples equal those of
     one whole batch when the paths fit in one chunk, and match them to
     rounding otherwise: BLAS may sum a row of a small chunk in another
-    order. A rule that returns the wrong shape raises InputError. numpy's
-    floating-point warnings are off inside: an overflow raises NumericError
-    from a finiteness check.
+    order. ``simulate_signal`` checks ``n_paths`` before anything is
+    allocated. A rule that returns the wrong shape raises InputError.
+    numpy's floating-point warnings are off inside: an overflow raises
+    NumericError from a finiteness check.
     """
-    if n_paths < 1:
-        raise InputError(f"n_paths must be >= 1, got {n_paths}")
     paths = simulate_signal(signal, grid, seed, n_paths=n_paths)
     inc = integrated_increments(kernel, params, grid)
     samples = np.empty(n_paths)
@@ -287,15 +286,16 @@ def perturbation_test(params: ScenarioParams, kernel: PropagatorKernel,
     passes when the estimate is below +2 standard errors (exactly zero
     noise allowance for deterministic signals, up to floating-point dust).
     Every rollout uses the increments of the solver's engine, so the
-    kernel's cell integrals are built once.
+    kernel's cell integrals are built once. ``simulate_signal`` checks
+    ``n_paths`` before the engine is built.
     numpy's floating-point warnings are off inside: an overflow raises
     NumericError from a finiteness check.
     """
-    if n_paths < 1 or n_perturbations < 1 or not eps_rels:
-        raise InputError(f"perturbation test needs n_paths >= 1, n_perturbations >= 1 and "
-                         f"some eps_rels, got {n_paths}, {n_perturbations}, {eps_rels!r}")
-    engine = NystromEngine(params, kernel, grid, signal)
+    if n_perturbations < 1 or not eps_rels:
+        raise InputError(f"perturbation test needs n_perturbations >= 1 and some eps_rels, "
+                         f"got {n_perturbations}, {eps_rels!r}")
     paths = simulate_signal(signal, grid, seed, n_paths=n_paths)
+    engine = NystromEngine(params, kernel, grid, signal)
     us = engine.speeds_for_paths(paths)
     prices = price_path(paths, grid)
 

@@ -141,7 +141,8 @@ def simulate_signal(model: SignalModel, grid: TimeGrid, seed: int = 0,
     """Realized signal values on the grid.
 
     Returns shape (n+1,) by default, or (n_paths, n+1) when ``n_paths`` is
-    given. OU paths use the exact one-step transition
+    given; it must then be an integer >= 1 (not a bool), else InputError.
+    OU paths use the exact one-step transition
 
         I_{i+1} = I_i * exp(-gamma dt) + sigma * sqrt((1 - exp(-2 gamma dt)) / (2 gamma)) * xi_i
 
@@ -152,6 +153,9 @@ def simulate_signal(model: SignalModel, grid: TimeGrid, seed: int = 0,
     if not (isinstance(seed, (int, np.integer)) and 0 <= int(seed) < 2**64):
         raise InputError(f"seed must be an integer in [0, 2^64), got {seed!r}")
     squeeze = n_paths is None
+    if not (squeeze or isinstance(n_paths, (int, np.integer))
+            and not isinstance(n_paths, bool) and n_paths >= 1):
+        raise InputError(f"n_paths must be an integer >= 1, got {n_paths!r}")
     count = 1 if squeeze else int(n_paths)
     npts = grid.n + 1
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,9 +11,11 @@ import pytest
 from exec_solver import ConfigError, NumericError, ScenarioParams, TimeGrid
 import exec_solver.cli as cli_mod
 from exec_solver.cli import load_config, main, parse_config, run
-from exec_solver.kernels import ExponentialKernel, TabulatedKernel
+from exec_solver.kernels import (BoundedPowerLawKernel, ExponentialKernel, FractionalKernel,
+                                 TabulatedKernel, ZeroKernel)
 from exec_solver.model import evaluate_objective, rollout
-from exec_solver.signals import OUSignal, price_path, simulate_signal
+from exec_solver.signals import (OUSignal, TabulatedSignal, ZeroSignal, price_path,
+                                 simulate_signal)
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "docs" / "examples" / "configs"
@@ -48,6 +51,26 @@ NON_FINITE_VALUES = [
     ("kernel.ell0", "inf", "kernel.type = bounded_power_law"),
     ("kernel.beta", "nan", "kernel.type = bounded_power_law"),
 ]
+
+
+# every kernel and signal type: its class and the numeric keys it reads,
+# which are its field names, each with a value that is not its default
+KERNEL_TYPES = {
+    "zero": (ZeroKernel, {}),
+    "exponential": (ExponentialKernel, {"c": 1.5, "rho": 0.7}),
+    "fractional": (FractionalKernel, {"c": 1.5, "alpha": 0.65}),
+    "bounded_power_law": (BoundedPowerLawKernel, {"ell0": 2.0, "beta": 0.8}),
+    "tabulated": (TabulatedKernel, {}),
+}
+SIGNAL_TYPES = {
+    "zero": (ZeroSignal, {}),
+    "ou": (OUSignal, {"I0": 1.5, "gamma": 0.2, "sigma": 0.4}),
+    "tabulated": (TabulatedSignal, {}),
+}
+CLOSED_FORM_MODELS = [(section, kind) for section, types in
+                      (("kernel", KERNEL_TYPES), ("signal", SIGNAL_TYPES))
+                      for kind in types if kind != "tabulated"]
+SCENARIO_SWEEPS = {"scenario.q", "scenario.lambda", "scenario.varrho", "scenario.phi"}
 
 
 _NEAR_PAPER_SIGNAL = ("signal.type = ou\nsignal.I0 = 2.001\nsignal.gamma = 0.2999\n"
@@ -201,11 +224,54 @@ class TestParsing:
         with pytest.raises(ConfigError, match="unknown key or empty value"):
             parse_config(text, overrides={"grid.m": "24"})
 
+    @pytest.mark.parametrize("section, kind", CLOSED_FORM_MODELS,
+                             ids=[f"{section}-{kind}" for section, kind in CLOSED_FORM_MODELS])
+    def test_closed_form_model_built_from_its_field_keys(self, section, kind):
+        cls, params = (KERNEL_TYPES if section == "kernel" else SIGNAL_TYPES)[kind]
+        keys = "".join(f"{section}.{name} = {value!r}\n" for name, value in params.items())
+        cfg = parse_config(f"mode = solve\noutput_dir = out\n{section}.type = {kind}\n{keys}")
+        model = getattr(cfg, section)
+        assert type(model) is cls
+        assert {f.name: getattr(model, f.name) for f in fields(model)} == params
+        assert model == cls(**params)
+
+    @pytest.mark.parametrize("kernel", KERNEL_TYPES)
+    @pytest.mark.parametrize("signal", SIGNAL_TYPES)
+    def test_sweepable_keys_are_the_scenario_and_model_fields(self, tmp_path, kernel, signal):
+        # a tabulated type reads CSV files, no numeric key
+        (tmp_path / "ones.csv").write_text("\n".join(["1.0"] * 9) + "\n")
+        (tmp_path / "eye.csv").write_text(
+            "\n".join(",".join("1" if i == j else "0" for j in range(9)) for i in range(9)))
+        base = (f"mode = sweep\noutput_dir = out\ngrid.n = 8\nsweep.values = 0.6\n"
+                f"kernel.type = {kernel}\nkernel.csv = ones.csv\nsignal.type = {signal}\n"
+                "signal.csv = ones.csv\nsignal.forecast_csv = eye.csv\n")
+        accepted = set()
+        for key in sorted(cli_mod._KNOWN_KEYS):
+            try:
+                parse_config(f"{base}sweep.param = {key}\n", base_dir=tmp_path)
+            except ConfigError as exc:
+                if "not sweepable" in str(exc):
+                    continue
+            accepted.add(key)
+        want = (SCENARIO_SWEEPS | {f"kernel.{name}" for name in KERNEL_TYPES[kernel][1]}
+                | {f"signal.{name}" for name in SIGNAL_TYPES[signal][1]})
+        assert accepted == want
+
     def test_unsweepable_parameter_rejected(self):
-        text = ("mode = sweep\noutput_dir = out\n"
-                "sweep.param = grid.n\nsweep.values = 1, 2\n")
-        with pytest.raises(ConfigError, match="not sweepable"):
-            parse_config(text)
+        # the message lists the keys that this config's kernel and signal read
+        for keys, sweepable in [
+            ("sweep.param = grid.n",
+             "scenario.lambda, scenario.phi, scenario.q, scenario.varrho"),
+            ("kernel.type = exponential\nsweep.param = kernel.alpha",
+             "kernel.c, kernel.rho, scenario.lambda, scenario.phi, scenario.q, scenario.varrho"),
+            ("signal.type = ou\nkernel.type = fractional\nsweep.param = kernel.rho",
+             "kernel.alpha, kernel.c, scenario.lambda, scenario.phi, scenario.q, "
+             "scenario.varrho, signal.I0, signal.gamma, signal.sigma"),
+        ]:
+            text = f"mode = sweep\noutput_dir = out\nsweep.values = 0.6, 0.7\n{keys}\n"
+            with pytest.raises(ConfigError, match="not sweepable") as err:
+                parse_config(text)
+            assert str(err.value).endswith(f"; choose one of {sweepable}")
 
 
 class TestRun:
@@ -504,20 +570,38 @@ class TestMain:
         assert "kernel.alpha = 0.3" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("keys, repeated", [
-        ("kernel.type = fractional\nsweep.param = kernel.alpha\nsweep.values = 0.6, 0.60, 0.7",
+    @pytest.mark.parametrize("mode, keys, repeated", [
+        ("sweep",
+         "kernel.type = fractional\nsweep.param = kernel.alpha\nsweep.values = 0.6, 0.60, 0.7",
          "line 5: repeated sweep point kernel.alpha = 0.6"),
-        ("compare.kernels = zero, zero", "line 3: repeated compare point kernel.type = zero"),
-    ], ids=["sweep", "compare"])
-    def test_repeated_point_exits_2_before_any_output(self, tmp_path, capsys, keys, repeated):
-        mode = "sweep" if "sweep" in keys else "compare"
+        ("compare", "compare.kernels = zero, zero",
+         "line 3: repeated compare point kernel.type = zero"),
+        # the same estimate twice would write two identical rows
+        ("mc", "mc.n_paths = 4\nmc.strategies = nystrom, twap, nystrom",
+         "line 4: repeated mc strategy nystrom"),
+    ], ids=["sweep", "compare", "mc"])
+    def test_repeated_point_exits_2_before_any_output(self, tmp_path, capsys, mode, keys,
+                                                      repeated):
         text = f"mode = {mode}\noutput_dir = {tmp_path / 'o'}\n{keys}\n"
         with pytest.raises(ConfigError, match=repeated):
             parse_config(text)
         cfg = tmp_path / "repeat.cfg"
         cfg.write_text(text)
         assert main(["--config", str(cfg)]) == 2
-        assert repeated in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {repeated}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_sweep_of_a_key_the_model_does_not_read_exits_2(self, tmp_path, capsys):
+        # kernel.alpha is no field of the exponential kernel: every point would
+        # solve the same model and write the same summary row
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"mode = sweep\noutput_dir = {tmp_path / 'o'}\ngrid.n = 16\n"
+                       "kernel.type = exponential\nsweep.param = kernel.alpha\n"
+                       "sweep.values = 0.6, 0.7\n")
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sweep.param 'kernel.alpha' is not sweepable; ")
+        assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     def test_error_under_grid_n_flag_cites_the_file_line(self, tmp_path, capsys):

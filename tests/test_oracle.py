@@ -230,6 +230,18 @@ class TestMonteCarlo:
                      + bd.terminal_penalty)
             assert sample == pytest.approx(bd.total, rel=0, abs=1e-13 * scale)
 
+    @pytest.mark.parametrize("n_paths", [0, 2.5, 3.0, True])
+    def test_path_count_checked_before_any_allocation(self, fig1_params, exp_kernel,
+                                                      monkeypatch, n_paths):
+        def unreachable(*args):
+            raise AssertionError("built increments for an invalid path count")
+
+        monkeypatch.setattr(oracle_mod, "integrated_increments", unreachable)
+        grid = TimeGrid.uniform(10, 16)
+        with pytest.raises(InputError, match="n_paths must be an integer >= 1"):
+            mc_objective(fig1_params, exp_kernel, OUSignal(I0=2.0, gamma=0.3, sigma=0.5),
+                         grid, twap_rule(fig1_params, grid), n_paths=n_paths, seed=0)
+
     def test_rule_with_wrong_length_rejected(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10, 16)
         with pytest.raises(InputError, match="shape"):
@@ -481,6 +493,19 @@ class TestPerturbation:
         with pytest.raises(InputError, match=field):
             perturbation_test(fig1_params, ExponentialKernel(1, 0.5), ZeroSignal(), grid,
                               **sizes)
+
+    @pytest.mark.parametrize("n_paths", [2.5, 3.0, True])
+    def test_rejects_a_path_count_that_is_no_integer(self, fig1_params, monkeypatch, n_paths):
+        # 2.5 used to run 2 paths and divide the standard errors by sqrt(2.5)
+        def unreachable(*args):
+            raise AssertionError("built the engine for an invalid path count")
+
+        monkeypatch.setattr(oracle_mod, "NystromEngine", unreachable)
+        grid = TimeGrid.uniform(10, 16)
+        with pytest.raises(InputError, match="n_paths must be an integer >= 1"):
+            perturbation_test(fig1_params, ExponentialKernel(1, 0.5),
+                              OUSignal(I0=2.0, gamma=0.3, sigma=0.5), grid,
+                              n_paths=n_paths, n_perturbations=2)
 
     def test_rejects_no_perturbation_sizes(self, fig1_params):
         grid = TimeGrid.uniform(10, 16)

@@ -141,6 +141,15 @@ class TestSimulation:
         with pytest.raises(InputError):
             simulate_signal(ZeroSignal(), grid, seed=-1)
 
+    @pytest.mark.parametrize("n_paths", [-1, 0, 2.5, 3.0, True, np.float64(3.0), "3"], ids=repr)
+    def test_path_count_validation(self, n_paths):
+        # only an integer >= 1 counts paths: 2.5 used to simulate 2 of them
+        grid = TimeGrid.uniform(4.0, 4)
+        for model in (ZeroSignal(), OUSignal(I0=1.0, gamma=0.3, sigma=0.5)):
+            with pytest.raises(InputError, match="n_paths must be an integer >= 1"):
+                simulate_signal(model, grid, seed=0, n_paths=n_paths)
+        assert simulate_signal(ZeroSignal(), grid, n_paths=np.int64(2)).shape == (2, 5)
+
     def test_model_validation(self):
         with pytest.raises(InputError):
             OUSignal(I0=1.0, gamma=-0.1, sigma=0.5)
