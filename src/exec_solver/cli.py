@@ -12,7 +12,9 @@ Config files are flat ``key = value`` text with section prefixes::
     kernel.rho = 0.5
     signal.type = ou
 
-Unknown keys are rejected. Scenario defaults are q=10, T=10, lambda=0.5,
+Unknown keys are rejected, and so is a kernel or signal key that the
+configured type does not read (a compare run accepts the kernel keys of
+every kernel it compares). Scenario defaults are q=10, T=10, lambda=0.5,
 varrho=4, phi=0, h0=0 with a zero kernel and no signal. Command-line flags
 override keys without editing the text, and every point of a sweep or
 compare run is built while parsing. ``run`` then solves every case (in mc,
@@ -239,9 +241,12 @@ _MODELS = {
 }
 
 
-def _model_keys(kv, section: str) -> list[str]:
-    """The numeric config keys that the configured model of ``section`` reads."""
-    kind = kv[f"{section}.type"][0]
+# the keys of the files that a tabulated type reads in place of numbers
+_TABULATED_KEYS = {"kernel": ("kernel.csv",), "signal": ("signal.csv", "signal.forecast_csv")}
+
+
+def _model_keys(section: str, kind: str) -> list[str]:
+    """The numeric config keys that a model of type ``kind`` reads."""
     if kind not in _MODELS[section]:
         raise ConfigError(f"unknown {section}.type {kind!r}")
     if kind == "tabulated":
@@ -249,9 +254,24 @@ def _model_keys(kv, section: str) -> list[str]:
     return [f"{section}.{field.name}" for field in fields(_MODELS[section][kind])]
 
 
+def _reject_unread_keys(kv, section: str, kinds: list[str]):
+    """Reject a "<section>.*" key set in the config that no model of ``kinds`` reads.
+
+    A compare run reads the kernel keys of every kernel type it compares.
+    """
+    read = {f"{section}.type"}
+    for kind in kinds:
+        read.update(_TABULATED_KEYS[section] if kind == "tabulated"
+                    else _model_keys(section, kind))
+    for key, (_, where) in kv.items():
+        if key.startswith(f"{section}.") and where != "default" and key not in read:
+            raise ConfigError(f"{where}: key {key!r} is not read by "
+                              f"{section}.type {' or '.join(kinds)}")
+
+
 def _build_model(kv, section: str, base_dir: Path, grid: TimeGrid):
     kind = kv[f"{section}.type"][0]
-    keys = _model_keys(kv, section)
+    keys = _model_keys(section, kind)
     build = _MODELS[section][kind]
     try:
         if kind == "tabulated":
@@ -283,7 +303,8 @@ def _build_cases(kv, base_dir: Path, n: int, mode: str) -> tuple[RunCase, ...]:
         if "sweep.param" not in kv or "sweep.values" not in kv:
             raise ConfigError("mode = sweep requires sweep.param and sweep.values")
         param = kv["sweep.param"][0]
-        sweepable = [*_SWEPT_SCENARIO_KEYS, *_model_keys(kv, "kernel"), *_model_keys(kv, "signal")]
+        sweepable = [*_SWEPT_SCENARIO_KEYS, *_model_keys("kernel", kv["kernel.type"][0]),
+                     *_model_keys("signal", kv["signal.type"][0])]
         if param not in sweepable:
             raise ConfigError(
                 f"sweep.param {param!r} is not sweepable; choose one of "
@@ -363,6 +384,9 @@ def parse_config(text: str, base_dir: Path | str = ".",
                 raise ConfigError(f"{where}: repeated mc strategy {name}")
             cfg.mc_strategies += (name,)
         cfg.mc_n_paths = n_paths
+    _reject_unread_keys(kv, "kernel", [case.label for case in cfg.cases] if mode == "compare"
+                        else [kv["kernel.type"][0]])
+    _reject_unread_keys(kv, "signal", [kv["signal.type"][0]])
     # the grid solver needs forecasts and a concave objective; an mc run
     # whose rules do not solve merely replays the path
     if mode != "mc" or any(_STRATEGIES[s][0] for s in cfg.mc_strategies):

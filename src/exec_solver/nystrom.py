@@ -264,9 +264,10 @@ class NystromEngine:
     and one blocked forward substitution: O(n) and O(n^2) work; a batch of
     paths (``speeds_for_paths``) takes its affine sources and matrix
     products in place of matrix-vector products. The Monte Carlo rule
-    ``speed_for_path`` still builds each path's forecast matrix, contracts
-    it with the rows and substitutes once: at n = 200 on one BLAS thread
-    about 100 us of CPU time a path, half of it the forecast matrix.
+    ``speed_for_path`` still builds each path's forecast matrix, one
+    scaling of a cached path-free base, contracts it with the rows and
+    substitutes once: at n = 200 on one BLAS thread about 75 us of CPU time
+    a path, about 20 us of it the forecast matrix.
 
     The build and every public method run with numpy's floating-point
     warnings off, so under any warning filter a section singular to working

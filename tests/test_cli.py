@@ -477,10 +477,11 @@ def tabulated_signal_config(tmp_path, mode, extra=""):
 
 
 def solve_cfg_with(tmp_path, mode, keys):
-    """SOLVE_CFG in ``mode`` with each key of ``keys`` set to its value."""
+    """SOLVE_CFG in ``mode`` with each key of ``keys`` set to its value; a
+    new kernel.type drops the keys of SOLVE_CFG's kernel."""
     text = SOLVE_CFG.format(out=tmp_path / "o").replace("mode = solve", f"mode = {mode}")
-    text = "\n".join(line for line in text.splitlines()
-                     if not line.startswith(tuple(keys)))
+    dropped = ("kernel.", *keys) if "kernel.type" in keys else tuple(keys)
+    text = "\n".join(line for line in text.splitlines() if not line.startswith(dropped))
     cfg = tmp_path / "scenario.cfg"
     cfg.write_text(text + "\nmc.n_paths = 4\n"
                    + "".join(f"{key} = {value}\n" for key, value in keys.items()))
@@ -603,6 +604,54 @@ class TestMain:
         assert err.startswith("config error: sweep.param 'kernel.alpha' is not sweepable; ")
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mode, keys, unread", [
+        ("solve", "kernel.type = exponential\nkernel.alpha = 0.3",
+         "line 4: key 'kernel.alpha' is not read by kernel.type exponential"),
+        ("solve", "signal.type = ou\nsignal.forecast_csv = eye.csv",
+         "line 4: key 'signal.forecast_csv' is not read by signal.type ou"),
+        ("solve", "kernel.type = zero\nkernel.csv = ones.csv",
+         "line 4: key 'kernel.csv' is not read by kernel.type zero"),
+        ("mc", "mc.n_paths = 4\nsignal.type = zero\nsignal.gamma = 0.3",
+         "line 5: key 'signal.gamma' is not read by signal.type zero"),
+        ("mc", "mc.n_paths = 4\nmc.strategies = twap\nkernel.type = fractional\n"
+               "kernel.rho = 0.5",
+         "line 6: key 'kernel.rho' is not read by kernel.type fractional"),
+        ("sweep", "kernel.type = exponential\nkernel.ell0 = 2\nsweep.param = scenario.q\n"
+                  "sweep.values = 5, 10",
+         "line 4: key 'kernel.ell0' is not read by kernel.type exponential"),
+        # compare reads the keys of every kernel it compares, and no others
+        ("compare", "compare.kernels = zero, exponential, fractional\nkernel.rho = 0.5\n"
+                    "kernel.alpha = 0.55\nkernel.beta = 2",
+         "line 6: key 'kernel.beta' is not read by kernel.type zero or exponential or "
+         "fractional"),
+        ("compare", "compare.kernels = zero, exponential\nkernel.alpha = 0.55",
+         "line 4: key 'kernel.alpha' is not read by kernel.type zero or exponential"),
+        ("compare", "compare.kernels = zero, exponential\nsignal.sigma = 0.5",
+         "line 4: key 'signal.sigma' is not read by signal.type zero"),
+    ], ids=["solve-kernel", "solve-forecast-csv", "solve-kernel-csv", "mc-signal",
+            "mc-twap-kernel", "sweep", "compare-kernel", "compare-kernel-2", "compare-signal"])
+    def test_key_the_configured_type_does_not_read_exits_2(self, tmp_path, capsys, mode,
+                                                           keys, unread):
+        # such a key used to be ignored: the run exited 0 with the key unused
+        text = f"mode = {mode}\noutput_dir = {tmp_path / 'o'}\n{keys}\n"
+        with pytest.raises(ConfigError, match=unread):
+            parse_config(text, base_dir=tmp_path)
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(text)
+        assert main(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {unread}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_compare_accepts_the_keys_of_every_compared_kernel(self):
+        # the kernel.type line is the base that each compared type replaces
+        cfg = parse_config("mode = compare\noutput_dir = out\nkernel.type = zero\n"
+                           "compare.kernels = exponential, fractional, bounded_power_law\n"
+                           "kernel.c = 2\nkernel.rho = 0.7\nkernel.alpha = 0.65\n"
+                           "kernel.ell0 = 1.5\nkernel.beta = 0.8\n")
+        assert [case.kernel for case in cfg.cases] == [
+            ExponentialKernel(2.0, 0.7), FractionalKernel(2.0, 0.65),
+            BoundedPowerLawKernel(1.5, 0.8)]
 
     def test_error_under_grid_n_flag_cites_the_file_line(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

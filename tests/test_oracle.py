@@ -242,6 +242,19 @@ class TestMonteCarlo:
             mc_objective(fig1_params, exp_kernel, OUSignal(I0=2.0, gamma=0.3, sigma=0.5),
                          grid, twap_rule(fig1_params, grid), n_paths=n_paths, seed=0)
 
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_bool_seed_rejected_before_any_allocation(self, fig1_params, exp_kernel,
+                                                      monkeypatch, seed):
+        # a bool used to run on the seed 1 or 0
+        def unreachable(*args):
+            raise AssertionError("built increments for an invalid seed")
+
+        monkeypatch.setattr(oracle_mod, "integrated_increments", unreachable)
+        grid = TimeGrid.uniform(10, 16)
+        with pytest.raises(InputError, match="seed must be an integer"):
+            mc_objective(fig1_params, exp_kernel, OUSignal(I0=2.0, gamma=0.3, sigma=0.5),
+                         grid, twap_rule(fig1_params, grid), n_paths=4, seed=seed)
+
     def test_rule_with_wrong_length_rejected(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10, 16)
         with pytest.raises(InputError, match="shape"):
@@ -506,6 +519,18 @@ class TestPerturbation:
             perturbation_test(fig1_params, ExponentialKernel(1, 0.5),
                               OUSignal(I0=2.0, gamma=0.3, sigma=0.5), grid,
                               n_paths=n_paths, n_perturbations=2)
+
+    @pytest.mark.parametrize("seed", [True, False])
+    def test_rejects_a_bool_seed(self, fig1_params, monkeypatch, seed):
+        def unreachable(*args):
+            raise AssertionError("built the engine for an invalid seed")
+
+        monkeypatch.setattr(oracle_mod, "NystromEngine", unreachable)
+        grid = TimeGrid.uniform(10, 16)
+        with pytest.raises(InputError, match="seed must be an integer"):
+            perturbation_test(fig1_params, ExponentialKernel(1, 0.5),
+                              OUSignal(I0=2.0, gamma=0.3, sigma=0.5), grid,
+                              n_paths=4, n_perturbations=2, seed=seed)
 
     def test_rejects_no_perturbation_sizes(self, fig1_params):
         grid = TimeGrid.uniform(10, 16)

@@ -137,9 +137,13 @@ class TestSimulation:
         assert np.array_equal(out, np.tile(vals, (3, 1)))
 
     def test_seed_validation(self):
+        # only an integer in [0, 2^64) is a seed: a bool used to count as 1 or 0
         grid = TimeGrid.uniform(4.0, 4)
-        with pytest.raises(InputError):
-            simulate_signal(ZeroSignal(), grid, seed=-1)
+        for seed in (-1, 2**64, True, False, np.bool_(True), 1.0, "1"):
+            for model in (ZeroSignal(), OUSignal(I0=1.0, gamma=0.3, sigma=0.5)):
+                with pytest.raises(InputError, match="seed must be an integer"):
+                    simulate_signal(model, grid, seed=seed, n_paths=2)
+        assert simulate_signal(ZeroSignal(), grid, seed=np.uint64(2**64 - 1)).shape == (5,)
 
     @pytest.mark.parametrize("n_paths", [-1, 0, 2.5, 3.0, True, np.float64(3.0), "3"], ids=repr)
     def test_path_count_validation(self, n_paths):
@@ -155,6 +159,27 @@ class TestSimulation:
             OUSignal(I0=1.0, gamma=-0.1, sigma=0.5)
         with pytest.raises(InputError):
             OUSignal(I0=1.0, gamma=0.1, sigma=-0.5)
+
+
+@pytest.fixture
+def bufsize():
+    """A ufunc buffer size, set for one test, unlike numpy's default and the
+    forecast's own: a call that leaves its size behind shows in any order."""
+    old = np.setbufsize(4096)
+    yield 4096
+    np.setbufsize(old)
+
+
+def _reference_forecasts(model, path, grid):
+    """N[k, j] = s_k * e_{k-j} * I_j, entry by entry, multiplied left to right,
+    with e_{k-j} = 0 above the diagonal, as a column-major array."""
+    decay, scale = ou_forecast_factors(model, grid)
+    n = grid.n
+    want = np.empty((n + 1, n + 1), order="F")
+    for k in range(n + 1):
+        for j in range(n + 1):
+            want[k, j] = scale[k] * (decay[k - j] if k >= j else 0.0) * path[j]
+    return want
 
 
 class TestForecastMatrix:
@@ -184,23 +209,51 @@ class TestForecastMatrix:
         assert N[j, j] != 0.0
 
     @pytest.mark.parametrize("n", [2, 3, 200])
-    def test_entries_are_scale_times_decay_times_signal_bit_for_bit(self, n, rng):
+    def test_entries_are_scale_times_decay_times_signal_bit_for_bit(self, n, rng, bufsize):
         # N[k, j] = s_k * e_{k-j} * I_j, multiplied left to right, with
         # e_{k-j} = 0 above the diagonal: the bits, signed zeros included,
         # of a column-major array
         grid = TimeGrid.uniform(10.0, n)
         model = OUSignal(I0=1.0, gamma=0.3, sigma=0.5)
         path = rng.normal(size=n + 1)
-        decay, scale = ou_forecast_factors(model, grid)
-        want = np.empty((n + 1, n + 1), order="F")
-        for k in range(n + 1):
-            for j in range(n + 1):
-                want[k, j] = scale[k] * (decay[k - j] if k >= j else 0.0) * path[j]
-        bufsize = np.getbufsize()
+        want = _reference_forecasts(model, path, grid)
         N = forecast_matrix(model, path, grid)
-        assert np.getbufsize() == bufsize  # the scalings' buffer size is restored
+        assert np.getbufsize() == bufsize  # the scaling's buffer size is restored
         assert N.flags.f_contiguous
         assert N.tobytes(order="F") == want.tobytes(order="F")
+
+    def test_cached_base_gives_the_reference_bits_on_alternating_keys(self, rng, bufsize):
+        # each call scales the cached base of its (gamma, grid) by the path:
+        # the keys alternate between two grids and gammas across the
+        # gamma -> 0 switch, so the base of one size-1 cache is rebuilt and
+        # reused, and every call must give the reference bits
+        signals_mod._ou_forecast_base.cache_clear()
+        grids = (TimeGrid.uniform(10.0, 40), TimeGrid.uniform(3.0, 25))
+        gammas = (0.0, signals_mod._GAMMA_EPS / 2, 0.3, 100.0)
+        for gamma in gammas:
+            model = OUSignal(I0=1.0, gamma=gamma, sigma=0.5)
+            for grid in (*grids, *grids, grids[1]):
+                path = rng.normal(size=grid.n + 1)
+                want = _reference_forecasts(model, path, grid)
+                N = forecast_matrix(model, path, grid)
+                assert N.flags.f_contiguous and N.flags.writeable
+                assert N.tobytes(order="F") == want.tobytes(order="F")
+                # writing into a returned matrix leaves the next one as it was
+                N[:] = np.nan
+                again = forecast_matrix(model, path, grid)
+                assert again.tobytes(order="F") == want.tobytes(order="F")
+        assert np.getbufsize() == bufsize
+        # per gamma: four builds for the alternating grids, and six reuses
+        info = signals_mod._ou_forecast_base.cache_info()
+        assert (info.maxsize, info.misses, info.hits) == (1, 4 * len(gammas), 6 * len(gammas))
+
+    def test_cached_base_is_read_only(self):
+        grid = TimeGrid.uniform(10.0, 8)
+        base = signals_mod._ou_forecast_base(0.3, grid)
+        assert not base.flags.writeable and base.flags.c_contiguous
+        with pytest.raises(ValueError):
+            base[0, 0] = 1.0
+        assert signals_mod._ou_forecast_base(0.3, TimeGrid.uniform(10.0, 8)) is base
 
     def test_zero_signal_all_zero(self):
         grid = TimeGrid.uniform(10.0, 10)
