@@ -37,10 +37,8 @@ from .model import (
 )
 from .nystrom import (
     NystromEngine,
-    dense_curvature,
     solve_scenario,
     solve_scenario_detail,
-    solve_speed,
 )
 from .oracle import (
     DiscreteQuadraticProgram,

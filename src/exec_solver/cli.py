@@ -12,15 +12,17 @@ Config files are flat ``key = value`` text with section prefixes::
     kernel.rho = 0.5
     signal.type = ou
 
-Unknown keys are rejected, and so is a kernel or signal key that the
-configured type does not read (a compare run accepts the kernel keys of
-every kernel it compares). Scenario defaults are q=10, T=10, lambda=0.5,
-varrho=4, phi=0, h0=0 with a zero kernel and no signal. Command-line flags
-override keys without editing the text, and every point of a sweep or
-compare run is built while parsing. ``run`` then solves every case (in mc,
-every estimate) and only then writes its tables, so a numeric error leaves
-no partial output. Floats are written with full round-trip precision so
-re-ingesting an emitted path.csv reproduces the reported objective exactly.
+Unknown keys are rejected, and so is a key the run does not read: a kernel
+or signal key that the configured type does not read (a compare run
+accepts the kernel keys of every kernel it compares), a key of another
+mode's section, and scenario.h0 next to scenario.h0_csv. Scenario
+defaults are q=10, T=10, lambda=0.5, varrho=4, phi=0, h0=0 with a zero
+kernel and no signal. Command-line flags override keys without editing
+the text, and every point of a sweep or compare run is built while
+parsing. ``run`` then solves every case (in mc, every estimate) and only
+then writes its tables, so a numeric error leaves no partial output.
+Floats are written with full round-trip precision so re-ingesting an
+emitted path.csv reproduces the reported objective exactly.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric error.
 """
@@ -254,19 +256,12 @@ def _model_keys(section: str, kind: str) -> list[str]:
     return [f"{section}.{field.name}" for field in fields(_MODELS[section][kind])]
 
 
-def _reject_unread_keys(kv, section: str, kinds: list[str]):
-    """Reject a "<section>.*" key set in the config that no model of ``kinds`` reads.
-
-    A compare run reads the kernel keys of every kernel type it compares.
-    """
-    read = {f"{section}.type"}
-    for kind in kinds:
-        read.update(_TABULATED_KEYS[section] if kind == "tabulated"
-                    else _model_keys(section, kind))
+def _reject_unread_keys(kv, prefixes: str | tuple[str, ...], read: set[str], reader: str):
+    """Reject a key set in the config that starts with ``prefixes`` but is
+    not in ``read``, the keys that ``reader`` reads."""
     for key, (_, where) in kv.items():
-        if key.startswith(f"{section}.") and where != "default" and key not in read:
-            raise ConfigError(f"{where}: key {key!r} is not read by "
-                              f"{section}.type {' or '.join(kinds)}")
+        if key.startswith(prefixes) and where != "default" and key not in read:
+            raise ConfigError(f"{where}: key {key!r} is not read by {reader}")
 
 
 def _build_model(kv, section: str, base_dir: Path, grid: TimeGrid):
@@ -357,6 +352,12 @@ def parse_config(text: str, base_dir: Path | str = ".",
     mode = kv["mode"][0]
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(_MODES)}")
+    # a mode reads the keys of its own section only, and h0_csv replaces h0
+    _reject_unread_keys(kv, tuple(f"{other}." for other in _MODES if other != mode), set(),
+                        f"mode {mode}")
+    if "scenario.h0_csv" in kv:
+        _reject_unread_keys(kv, "scenario.h0", {"scenario.h0_csv"},
+                            "a scenario that sets scenario.h0_csv")
 
     n = _get(kv, "grid.n", int)
     if n < 2:
@@ -384,9 +385,15 @@ def parse_config(text: str, base_dir: Path | str = ".",
                 raise ConfigError(f"{where}: repeated mc strategy {name}")
             cfg.mc_strategies += (name,)
         cfg.mc_n_paths = n_paths
-    _reject_unread_keys(kv, "kernel", [case.label for case in cfg.cases] if mode == "compare"
-                        else [kv["kernel.type"][0]])
-    _reject_unread_keys(kv, "signal", [kv["signal.type"][0]])
+    # compare reads the kernel keys of every kernel type it compares
+    kernel_kinds = ([case.label for case in cfg.cases] if mode == "compare"
+                    else [kv["kernel.type"][0]])
+    for section, kinds in (("kernel", kernel_kinds), ("signal", [kv["signal.type"][0]])):
+        read = {f"{section}.type"}
+        for kind in kinds:
+            read.update(_TABULATED_KEYS[section] if kind == "tabulated"
+                        else _model_keys(section, kind))
+        _reject_unread_keys(kv, f"{section}.", read, f"{section}.type {' or '.join(kinds)}")
     # the grid solver needs forecasts and a concave objective; an mc run
     # whose rules do not solve merely replays the path
     if mode != "mc" or any(_STRATEGIES[s][0] for s in cfg.mc_strategies):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .model import ScenarioParams, TimeGrid, require_finite, toeplitz
+from .model import ScenarioParams, TimeGrid, require_finite, toeplitz_view
 
 __all__ = [
     "PropagatorKernel",
@@ -271,7 +271,7 @@ class TabulatedKernel(PropagatorKernel):
 def lower_toeplitz(diagonals: np.ndarray) -> np.ndarray:
     """(n+1, n+1) strictly lower Toeplitz matrix with diagonals[m] on sub-diagonal m+1."""
     first_col = np.concatenate(([0.0], diagonals))
-    return toeplitz(first_col, np.zeros(first_col.size))
+    return toeplitz_view(first_col, np.zeros(first_col.size)).copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,9 +282,9 @@ class IntegratedIncrements:
           [m*dt, (m+1)*dt]; with aug = 2*varrho*dt, the entries of L and U
           at distance m from the diagonal are cell[m] + aug
 
-    The dense (n+1, n+1) matrices are views built on first access, for the
-    quadratic-program oracle, the tests and ``dense_curvature``; the solver
-    reads only the generator:
+    The dense (n+1, n+1) matrices are built on first access: LG for the
+    quadratic-program oracle and a batch rollout, L and U for the tests'
+    dense references. The solver reads only the generator:
 
     L   support j <= k-1: cell integrals of G~(t_k, .)
     U   support k <= j <= n-1: cell integrals of G~(., t_k)
@@ -339,6 +339,9 @@ def integrated_increments(kernel: PropagatorKernel, params: ScenarioParams,
 # ---------------------------------------------------------------------------
 # nonnegative definiteness diagnostic
 
+_DEFINITENESS_TOL = 1e-8  # relative to the Gram matrix's norm
+
+
 @dataclass(frozen=True)
 class DefinitenessReport:
     """Outcome of the grid-level nonnegative-definiteness check.
@@ -372,22 +375,20 @@ def _gram_first_row(kernel: PropagatorKernel, dt: float, n: int) -> np.ndarray:
     return row
 
 
-def check_nonnegative_definite(kernel: PropagatorKernel, grid: TimeGrid,
-                               tol: float = 1e-8) -> DefinitenessReport:
+def check_nonnegative_definite(kernel: PropagatorKernel, grid: TimeGrid) -> DefinitenessReport:
     """Test the symmetrized quadratic form of G on piecewise-constant functions.
 
     Builds the exact Gram matrix of G(t, s) + G(s, t) over the grid cells
     and reports whether its smallest eigenvalue is nonnegative up to
-    ``tol`` times the matrix norm.
+    ``_DEFINITENESS_TOL`` times the matrix norm.
     """
     n, dt = grid.n, grid.dt
     row = _gram_first_row(kernel, dt, n)
-    gram = toeplitz(row, row)
-    eigs = np.linalg.eigvalsh(gram)
+    eigs = np.linalg.eigvalsh(toeplitz_view(row, row))
     min_eig = float(eigs[0])
     norm = float(np.max(np.abs(eigs)))
     return DefinitenessReport(
-        nonnegative=min_eig >= -tol * norm,
+        nonnegative=min_eig >= -_DEFINITENESS_TOL * norm,
         min_eigenvalue=min_eig,
         matrix_norm=norm,
         n=n,

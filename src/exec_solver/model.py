@@ -59,14 +59,6 @@ def toeplitz_view(col: np.ndarray, row: np.ndarray) -> np.ndarray:
     return view
 
 
-def toeplitz(col: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """Toeplitz matrix T[k, j] = row[j - k] for j >= k and col[k - j] below.
-
-    ``toeplitz_view`` copied into a fresh, writeable row-major array.
-    """
-    return toeplitz_view(col, row).copy()
-
-
 @dataclass(frozen=True, eq=False)
 class ScenarioParams:
     """Economic inputs of a liquidation scenario.

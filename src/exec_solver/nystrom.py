@@ -28,7 +28,8 @@ substitution:
        so one O(n^2) pass per scenario builds c next to the h~ part and a
        path's source costs O(n), with no forecast matrix, and a batch of
        paths one elementwise product; a tabulated signal's user forecast
-       does not depend on the path and is contracted with the rows once,
+       does not depend on the path, yet each source call takes it through
+       ``forecast_matrix`` and contracts it with the rows again, O(n^2),
     4. u = (I - B)^{-1} a by blocked forward substitution, O(n^2): the
        unit lower-triangular diagonal blocks of I - B are inverted once,
        so each block of u costs one product with the rows before it and
@@ -69,32 +70,12 @@ from .signals import (
 )
 
 __all__ = [
-    "dense_curvature",
     "response_rows",
-    "solve_speed",
     "NystromEngine",
     "ScenarioSolution",
     "solve_scenario",
     "solve_scenario_detail",
 ]
-
-
-def _require_phi_zero(params: ScenarioParams):
-    if params.phi != 0.0:
-        raise InputError(
-            "the grid solver is stated for phi = 0; use exec_solver.oracle "
-            "(direct quadratic program / Monte Carlo) for phi > 0"
-        )
-
-
-def dense_curvature(inc: IntegratedIncrements, params: ScenarioParams,
-                    grid: TimeGrid, i: int) -> np.ndarray:
-    """D_i as an explicit n x n matrix (diagnostics and positivity checks)."""
-    _require_phi_zero(params)
-    n = grid.n
-    D = 2.0 * params.lam * np.eye(n)
-    D[i:, i:] += inc.L[i:n, i:n] + inc.U[i:n, i:n]
-    return D
 
 
 # a Levinson pivot this close to zero, relative to its own terms, means the
@@ -153,7 +134,11 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
     column of I - B, the unit vector e_n, are implicit. Raises NumericError
     naming the step whose section is singular to working precision.
     """
-    _require_phi_zero(params)
+    if params.phi != 0.0:
+        raise InputError(
+            "the grid solver is stated for phi = 0; use exec_solver.oracle "
+            "(direct quadratic program / Monte Carlo) for phi > 0"
+        )
     n = grid.n
     two_lam = 2.0 * params.lam
     row = inc.cell + inc.aug  # first row of A - 2*lam*I, and g above
@@ -198,18 +183,6 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
             np.matmul(update, skew, out=out)
         rows[i] = f[zero - i:zero + m]
     return rows
-
-
-def solve_speed(a: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve (I - B) u = a with a dense LU solve (B strictly lower triangular).
-
-    The reference the engine's blocked substitution is tested against.
-    """
-    a = np.asarray(a, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if np.any(np.triu(B) != 0.0):
-        raise InputError("feedback matrix must be strictly lower triangular")
-    return np.linalg.solve(np.eye(B.shape[0]) - B, a)
 
 
 def _diagonal_block_inverses(rows: np.ndarray) -> np.ndarray:
@@ -279,7 +252,6 @@ class NystromEngine:
     def __init__(self, params: ScenarioParams, kernel: PropagatorKernel,
                  grid: TimeGrid, signal: SignalModel):
         self.params = params
-        self.kernel = kernel
         self.grid = grid
         self.signal = signal
         self.inc = integrated_increments(kernel, params, grid)
@@ -291,7 +263,7 @@ class NystromEngine:
         self.c = np.zeros(n + 1) if isinstance(signal, (OUSignal, ZeroSignal)) else None
         ou = isinstance(signal, OUSignal)
         if ou:
-            decay, scale = ou_forecast_factors(signal, grid)
+            decay, scale = ou_forecast_factors(signal.gamma, grid)
         # blocks of rows, never a full (n+1)^2 temporary
         for r0 in range(0, n + 1, _BLOCK):
             block = self.rows[r0:r0 + _BLOCK, r0:]

@@ -53,7 +53,6 @@ class DiscreteQuadraticProgram:
     params: ScenarioParams
     grid: TimeGrid
     inc: IntegratedIncrements
-    price: np.ndarray
 
     @property
     def n(self) -> int:
@@ -118,7 +117,7 @@ def assemble_qp(params: ScenarioParams, inc: IntegratedIncrements, grid: TimeGri
         ) from exc
 
     return DiscreteQuadraticProgram(H=H, b=b, c0=float(c0), params=params,
-                                    grid=grid, inc=inc, price=price)
+                                    grid=grid, inc=inc)
 
 
 def solve_qp(qp: DiscreteQuadraticProgram) -> np.ndarray:

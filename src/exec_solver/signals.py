@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, UnsupportedSignalError
-from .model import TimeGrid, require_finite, toeplitz
+from .model import TimeGrid, require_finite, toeplitz_view
 
 __all__ = [
     "SignalModel",
@@ -193,15 +193,12 @@ def simulate_signal(model: SignalModel, grid: TimeGrid, seed: int = 0,
     return out[0] if squeeze else out
 
 
-def ou_forecast_factors(model: OUSignal, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The factors e_m and s_k of the OU forecasts N[k, j] = s_k * e_{k-j} * I_j.
+def ou_forecast_factors(g: float, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The factors e_m and s_k of the OU forecasts N[k, j] = s_k * e_{k-j} * I_j
+    of mean reversion rate ``g``.
 
     Both have n+1 entries, with e_0 = 1 and s_n = 0; see the module docstring.
     """
-    return _ou_factors(model.gamma, grid)
-
-
-def _ou_factors(g: float, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
     t_rel = grid.t - grid.t[-1]  # t_k - t_n, +0.0 on the last row
     if g < _GAMMA_EPS:
         return np.ones(grid.n + 1), t_rel
@@ -217,9 +214,8 @@ def _ou_forecast_base(gamma: float, grid: TimeGrid) -> np.ndarray:
     hashes by (n, T), so the key is (gamma, grid). The cache holds the one
     (n+1)^2 array of the last key: 0.3 MB at n = 200, 8 MB at n = 1000.
     """
-    decay, scale = _ou_factors(gamma, grid)
-    base = toeplitz(np.zeros(grid.n + 1), decay)
-    base *= scale
+    decay, scale = ou_forecast_factors(gamma, grid)
+    base = toeplitz_view(np.zeros(grid.n + 1), decay) * scale
     base.flags.writeable = False
     return base
 
@@ -231,7 +227,7 @@ def forecast_diagonal(model: SignalModel, path: np.ndarray, grid: TimeGrid) -> n
     ``forecast_matrix``, because e_0 = 1.
     """
     if isinstance(model, OUSignal):
-        return ou_forecast_factors(model, grid)[1] * _as_path(path, grid)
+        return ou_forecast_factors(model.gamma, grid)[1] * _as_path(path, grid)
     if isinstance(model, ZeroSignal):
         return np.zeros(grid.n + 1)
     return np.diag(forecast_matrix(model, path, grid)).copy()

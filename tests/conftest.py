@@ -4,6 +4,26 @@ import pytest
 from exec_solver import ExponentialKernel, FractionalKernel, ScenarioParams, TimeGrid
 
 
+def dense_curvature(inc, params, grid, i):
+    """D_i as an explicit n x n matrix: 2*lam*I plus L + U on indices >= i."""
+    n = grid.n
+    D = 2.0 * params.lam * np.eye(n)
+    D[i:, i:] += inc.L[i:n, i:n] + inc.U[i:n, i:n]
+    return D
+
+
+def direct_loop_curvature(inc, lam, n, i):
+    """Brute-force assembly straight from the indicator pattern."""
+    d = np.zeros((n, n))
+    for k in range(n):
+        for j in range(n):
+            if i <= j <= n - 1:
+                d[k, j] += inc.L[k, j]
+            if i <= k <= n - 1:
+                d[k, j] += inc.U[k, j]
+    return 2.0 * lam * np.eye(n) + d
+
+
 @pytest.fixture
 def fig1_params():
     # the benchmark scenario used throughout: no running penalty

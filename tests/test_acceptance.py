@@ -16,6 +16,7 @@ from exec_solver import (
     ExponentialKernel,
     FractionalKernel,
     IntegratedIncrements,
+    NystromEngine,
     OUSignal,
     ScenarioParams,
     TabulatedKernel,
@@ -24,14 +25,14 @@ from exec_solver import (
     ZeroSignal,
     assemble_qp,
     check_nonnegative_definite,
-    dense_curvature,
     integrated_increments,
     perturbation_test,
     rollout,
     solve_qp,
     solve_scenario,
-    solve_speed,
 )
+from conftest import dense_curvature
+from exec_solver.nystrom import _BLOCK
 from exec_solver.signals import price_path, simulate_signal
 
 BENCH = ScenarioParams(q=10.0, T=10.0, lam=0.5, varrho=4.0, phi=0.0)
@@ -194,13 +195,19 @@ def test_criterion_6c_fractional_impact_persists():
 def test_criterion_7_exact_algebra_microchecks():
     rng = np.random.default_rng(7)
 
-    # forward substitution vs generic dense solve
-    n = 200
-    B = np.tril(rng.normal(size=(n + 1, n + 1)) * 0.05, k=-1)
-    a = rng.normal(size=n + 1)
-    u_fwd = solve_speed(a, B)
-    u_dense = np.linalg.solve(np.eye(n + 1) - B, a)
-    fwd_dev = float(np.max(np.abs(u_fwd - u_dense)) / max(1.0, np.max(np.abs(u_dense))))
+    # the engine's blocked forward substitution vs a generic dense solve of
+    # its own I - B, for one right-hand side and a batch, on n + 1 = 2 blocks
+    # and one row
+    n = 2 * _BLOCK
+    engine = NystromEngine(BENCH, FRAC, TimeGrid.uniform(10.0, n), ZeroSignal())
+    system = np.eye(n + 1)
+    system[:, :n] += np.tril(engine.rows, -1)
+    fwd_dev = 0.0
+    for a in (rng.normal(size=n + 1), rng.normal(size=(4, n + 1))):
+        u_fwd = engine._speeds(a)
+        u_dense = np.linalg.solve(system, a.T).T
+        fwd_dev = max(fwd_dev, float(np.max(np.abs(u_fwd - u_dense))
+                                     / max(1.0, np.max(np.abs(u_dense)))))
 
     # closed-form cell integrals vs scipy's adaptive quadrature
     grid = TimeGrid.uniform(10.0, 128)

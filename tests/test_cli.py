@@ -477,14 +477,16 @@ def tabulated_signal_config(tmp_path, mode, extra=""):
 
 
 def solve_cfg_with(tmp_path, mode, keys):
-    """SOLVE_CFG in ``mode`` with each key of ``keys`` set to its value; a
-    new kernel.type drops the keys of SOLVE_CFG's kernel."""
+    """SOLVE_CFG in ``mode`` with each key of ``keys`` set to its value, and
+    mc.n_paths = 4 in mc; a new kernel.type drops the keys of SOLVE_CFG's
+    kernel."""
     text = SOLVE_CFG.format(out=tmp_path / "o").replace("mode = solve", f"mode = {mode}")
     dropped = ("kernel.", *keys) if "kernel.type" in keys else tuple(keys)
     text = "\n".join(line for line in text.splitlines() if not line.startswith(dropped))
+    if mode == "mc":
+        text += "\nmc.n_paths = 4"
     cfg = tmp_path / "scenario.cfg"
-    cfg.write_text(text + "\nmc.n_paths = 4\n"
-                   + "".join(f"{key} = {value}\n" for key, value in keys.items()))
+    cfg.write_text(text + "\n" + "".join(f"{key} = {value}\n" for key, value in keys.items()))
     return cfg
 
 
@@ -639,6 +641,31 @@ class TestMain:
             parse_config(text, base_dir=tmp_path)
         cfg = tmp_path / "unread.cfg"
         cfg.write_text(text)
+        assert main(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: {unread}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mode, keys, unread", [
+        ("solve", "sweep.param = scenario.q\nsweep.values = 1, 2",
+         "line 3: key 'sweep.param' is not read by mode solve"),
+        ("solve", "compare.kernels = zero, exponential",
+         "line 3: key 'compare.kernels' is not read by mode solve"),
+        ("solve", "mc.n_paths = 4", "line 3: key 'mc.n_paths' is not read by mode solve"),
+        ("sweep", "sweep.param = scenario.q\nsweep.values = 5, 10\nmc.strategies = twap",
+         "line 5: key 'mc.strategies' is not read by mode sweep"),
+        ("compare", "compare.kernels = zero, exponential\nsweep.values = 5, 10",
+         "line 4: key 'sweep.values' is not read by mode compare"),
+        ("mc", "mc.n_paths = 4\ncompare.kernels = zero",
+         "line 4: key 'compare.kernels' is not read by mode mc"),
+        ("solve", "grid.n = 8\nscenario.h0 = 5\nscenario.h0_csv = h0.csv",
+         "line 4: key 'scenario.h0' is not read by a scenario that sets scenario.h0_csv"),
+    ], ids=["solve-sweep", "solve-compare", "solve-mc", "sweep-mc", "compare-sweep",
+            "mc-compare", "h0-and-h0-csv"])
+    def test_key_the_run_does_not_read_exits_2(self, tmp_path, capsys, mode, keys, unread):
+        # such a key used to be ignored: the run exited 0 with the key unused
+        (tmp_path / "h0.csv").write_text("0.5\n" * 9)
+        cfg = tmp_path / "unread.cfg"
+        cfg.write_text(f"mode = {mode}\noutput_dir = {tmp_path / 'o'}\n{keys}\n")
         assert main(["--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"config error: {unread}\n"
         assert not (tmp_path / "o").exists()

@@ -20,29 +20,16 @@ from exec_solver import (
     TimeGrid,
     ZeroKernel,
     ZeroSignal,
-    dense_curvature,
     integrated_increments,
     rollout,
     solve_scenario,
     solve_scenario_detail,
-    solve_speed,
 )
 import exec_solver.nystrom as nystrom_mod
 import exec_solver.signals as signals_mod
+from conftest import dense_curvature, direct_loop_curvature
 from exec_solver.nystrom import response_rows
 from exec_solver.signals import forecast_matrix, simulate_signal
-
-
-def direct_loop_curvature(inc, lam, n, i):
-    """Brute-force assembly straight from the indicator pattern."""
-    d = np.zeros((n, n))
-    for k in range(n):
-        for j in range(n):
-            if i <= j <= n - 1:
-                d[k, j] += inc.L[k, j]
-            if i <= k <= n - 1:
-                d[k, j] += inc.U[k, j]
-    return 2.0 * lam * np.eye(n) + d
 
 
 def split_rows(rows):
@@ -546,14 +533,14 @@ class TestEngine:
         # blocks followed by a block of one row
         grid = TimeGrid.uniform(10.0, size - 1)
         engine = NystromEngine(fig1_params, frac_kernel, grid, ZeroSignal())
-        B = np.eye(size) - split_rows(engine.rows)[1]
+        system = split_rows(engine.rows)[1]
         one = rng.normal(size=size)
         u = engine._speeds(one)
-        want = solve_speed(one, B)
+        want = np.linalg.solve(system, one)
         assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
         batch = rng.normal(size=(4, size))
         for a, u in zip(batch, engine._speeds(batch)):
-            want = solve_speed(a, B)
+            want = np.linalg.solve(system, a)
             assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_holds_one_packed_rows_array(self, fig1_params, exp_kernel):
@@ -640,28 +627,6 @@ class TestEngine:
                 solve_scenario_detail(params, ZeroKernel(), sig, grid)
 
 
-class TestSolveSpeed:
-    def test_identity_cases(self, rng):
-        a = rng.normal(size=8)
-        assert np.array_equal(solve_speed(a, np.zeros((8, 8))), a)
-        B = np.tril(rng.normal(size=(8, 8)), k=-1)
-        assert np.all(solve_speed(np.zeros(8), B) == 0.0)
-
-    def test_matches_dense_solve(self, rng):
-        n = 300
-        B = np.tril(rng.normal(size=(n, n)) * 0.1, k=-1)
-        a = rng.normal(size=n)
-        u = solve_speed(a, B)
-        dense = np.linalg.solve(np.eye(n) - B, a)
-        assert np.max(np.abs(u - dense)) <= 1e-10 * max(1.0, np.max(np.abs(dense)))
-
-    def test_rejects_upper_entries(self, rng):
-        B = np.zeros((4, 4))
-        B[0, 1] = 0.5
-        with pytest.raises(InputError):
-            solve_speed(np.ones(4), B)
-
-
 class TestScenario:
     def test_constant_rate_closed_form(self, fig1_params):
         # no transient impact, no signal: u = varrho q / (lam + varrho T)
@@ -675,7 +640,7 @@ class TestScenario:
         engine = NystromEngine(fig1_params, exp_kernel, grid, sig)
         N = forecast_matrix(sig, simulate_signal(sig, grid, 0), grid)
         a = engine.source_vector(N)
-        composed = solve_speed(a, np.eye(33) - split_rows(engine.rows)[1])
+        composed = np.linalg.solve(split_rows(engine.rows)[1], a)
         pipeline = solve_scenario(fig1_params, exp_kernel, sig, grid).u
         assert np.allclose(composed, pipeline, rtol=1e-12, atol=1e-13)
 

@@ -173,7 +173,7 @@ def bufsize():
 def _reference_forecasts(model, path, grid):
     """N[k, j] = s_k * e_{k-j} * I_j, entry by entry, multiplied left to right,
     with e_{k-j} = 0 above the diagonal, as a column-major array."""
-    decay, scale = ou_forecast_factors(model, grid)
+    decay, scale = ou_forecast_factors(model.gamma, grid)
     n = grid.n
     want = np.empty((n + 1, n + 1), order="F")
     for k in range(n + 1):
