@@ -17,14 +17,12 @@ from .errors import (
 )
 from .kernels import (
     BoundedPowerLawKernel,
-    DefinitenessReport,
     ExponentialKernel,
     FractionalKernel,
     IntegratedIncrements,
     PropagatorKernel,
     TabulatedKernel,
     ZeroKernel,
-    check_nonnegative_definite,
     integrated_increments,
 )
 from .model import (

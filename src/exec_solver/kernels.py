@@ -12,11 +12,11 @@ For a convolution kernel on a uniform grid both are Toeplitz and generated by
 one vector: the cell integrals cell[m] of H over [m*dt, (m+1)*dt] plus the
 penalty summand 2*varrho*dt. ``IntegratedIncrements`` stores that vector; the
 dense L, U and LG are built only on demand, for the quadratic-program oracle
-and the tests. Every kernel supplies its cell integrals and its cell first
-moments exactly, all cells in one vectorised pass: in closed form for the
-zero, exponential, fractional and bounded power-law kernels, and by exact
-per-piece rules on the piecewise-linear tabulated kernel. The Gram matrix of
-the definiteness check is built from the same two hooks.
+and the tests. A kernel supplies two hooks: its resilience function
+``decay`` and its exact ``cell_integral``, all cells in one vectorised pass,
+in closed form for the zero, exponential, fractional and bounded power-law
+kernels and by the exact trapezoid rule on each piece of the piecewise-linear
+tabulated kernel. Admissibility on a grid is ``concavity_failure``.
 """
 
 from __future__ import annotations
@@ -38,29 +38,27 @@ __all__ = [
     "TabulatedKernel",
     "IntegratedIncrements",
     "integrated_increments",
-    "DefinitenessReport",
-    "check_nonnegative_definite",
     "concavity_failure",
 ]
 
 class PropagatorKernel:
     """Base class: a convolution propagator G(t, s) = 1_{s<t} H(t - s).
 
-    The solver uses H only through its integrals over grid cells. In both
-    hooks ``a`` and ``b`` are arrays of interval ends with 0 <= a <= b, and
-    the result is an array of the same shape.
+    A kernel defines two hooks. The solver uses H only through
+    ``cell_integral``, whose ``a`` and ``b`` are arrays of interval ends with
+    0 <= a <= b and whose result has their shape.
     """
 
     def decay(self, tau):
-        """The resilience function H at lags tau > 0."""
+        """The resilience function H at lags tau > 0.
+
+        It defines the kernel, and the tests integrate it as their reference
+        for ``cell_integral`` and for the kernel's admissibility.
+        """
         raise NotImplementedError
 
     def cell_integral(self, a, b):
         """Integral of H(x) over [a, b]."""
-        raise NotImplementedError
-
-    def cell_moment(self, a, b):
-        """Integral of (x - a) * H(x) over [a, b]."""
         raise NotImplementedError
 
 
@@ -72,9 +70,6 @@ class ZeroKernel(PropagatorKernel):
         return np.zeros_like(np.asarray(tau, dtype=float))
 
     def cell_integral(self, a, b):
-        return np.zeros(np.shape(a))
-
-    def cell_moment(self, a, b):
         return np.zeros(np.shape(a))
 
 
@@ -99,11 +94,6 @@ class ExponentialKernel(PropagatorKernel):
         r = self.rho
         return self.c * (np.exp(-r * a) - np.exp(-r * b)) / r
 
-    def cell_moment(self, a, b):
-        r = self.rho
-        h = r * (b - a)
-        return self.c * np.exp(-r * a) * (-np.expm1(-h) - h * np.exp(-h)) / r**2
-
 
 @dataclass(frozen=True)
 class FractionalKernel(PropagatorKernel):
@@ -111,7 +101,7 @@ class FractionalKernel(PropagatorKernel):
 
     The decay exponent is beta = 1 - alpha in (0, 1/2), so the diagonal
     singularity is square-integrable. H is infinite at tau = 0, but its cell
-    integrals and moments, the only form the solver uses, are closed-form.
+    integrals, the only form the solver uses, are closed-form.
     """
 
     c: float = 1.0
@@ -130,26 +120,14 @@ class FractionalKernel(PropagatorKernel):
         return self.c * np.asarray(tau, dtype=float) ** (self.alpha - 1.0)
 
     def cell_integral(self, a, b):
-        # c * (b^alpha - a^alpha) / alpha = c * a^alpha * E(alpha) for a > 0,
-        # with E(p) = expm1(p * r) / p and r = log1p((b - a) / a), so that a
-        # cell far from the origin cancels no digits; c * b^alpha / alpha at a = 0
+        # c * (b^alpha - a^alpha) / alpha = c * a^alpha * expm1(alpha * r) / alpha
+        # for a > 0, with r = log1p((b - a) / a), so that a cell far from the
+        # origin cancels no digits; c * b^alpha / alpha at a = 0, where r is
+        # finite but unused
         al = self.alpha
-        a, b, log_ratio = self._log_ratio(a, b)
-        return self.c * np.where(a > 0.0, a**al * _expm1_ratio(al, log_ratio), b**al / al)
-
-    def cell_moment(self, a, b):
-        # c * a^(alpha + 1) * (E(alpha + 1) - E(alpha)) for a > 0, with E as
-        # in cell_integral; c * b^(alpha + 1) / (alpha + 1) at a = 0
-        p = self.alpha + 1.0
-        a, b, log_ratio = self._log_ratio(a, b)
-        gap = _expm1_ratio(p, log_ratio) - _expm1_ratio(self.alpha, log_ratio)
-        return self.c * np.where(a > 0.0, a**p * gap, b**p / p)
-
-    @staticmethod
-    def _log_ratio(a, b):
-        """a, b as arrays and log1p((b - a) / a), finite but unused where a = 0."""
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        return a, b, np.log1p((b - a) / np.where(a > 0.0, a, 1.0))
+        log_ratio = np.log1p((b - a) / np.where(a > 0.0, a, 1.0))
+        return self.c * np.where(a > 0.0, a**al * (np.expm1(al * log_ratio) / al), b**al / al)
 
 
 @dataclass(frozen=True)
@@ -157,7 +135,7 @@ class BoundedPowerLawKernel(PropagatorKernel):
     """Bounded power-law decay H(tau) = ell0 / (ell0 + tau)^beta.
 
     Bounded, nonincreasing and convex, hence nonnegative definite. Cell
-    integrals and moments are closed-form.
+    integrals are closed-form.
     """
 
     ell0: float = 1.0
@@ -183,30 +161,14 @@ class BoundedPowerLawKernel(PropagatorKernel):
             return self.ell0 * log_ratio
         return self.ell0 * (self.ell0 + a) ** e * np.expm1(e * log_ratio) / e
 
-    def cell_moment(self, a, b):
-        # ell0 * (ell0 + a)^(2 - beta) * (E(2 - beta) - E(1 - beta)) with
-        # E(p) = expm1(p * r) / p and r = log1p((b - a) / (ell0 + a)), exact
-        # at beta = 1 and beta = 2 where one E is r
-        log_ratio = np.log1p((b - a) / (self.ell0 + a))
-        p = 2.0 - self.beta
-        gap = _expm1_ratio(p, log_ratio) - _expm1_ratio(p - 1.0, log_ratio)
-        return self.ell0 * (self.ell0 + a) ** p * gap
-
-
-def _expm1_ratio(p: float, r):
-    """expm1(p * r) / p, continued by its limit r at p = 0."""
-    return r if p == 0.0 else np.expm1(p * r) / p
-
 
 @dataclass(frozen=True, eq=False)
 class TabulatedKernel(PropagatorKernel):
     """Convolution kernel given by resilience samples on [0, T_table].
 
     H interpolates linearly between samples and holds the last value beyond
-    the table. Cell integrals and moments cut each interval at the table
-    knots inside it and sum exact rules over the pieces: the trapezoid rule
-    for H, and Simpson's rule for (x - a) * H(x), which is quadratic on each
-    piece.
+    the table. Cell integrals cut each interval at the table knots inside it
+    and sum the trapezoid rule, exact for H, over the pieces.
     """
 
     times: np.ndarray
@@ -232,25 +194,15 @@ class TabulatedKernel(PropagatorKernel):
         return np.interp(np.asarray(tau, dtype=float), self.times, self.values)
 
     def cell_integral(self, a, b):
-        lo, hi, start, owner = self._pieces(a, b)
+        lo, hi, owner = self._pieces(a, b)
         piece = 0.5 * (hi - lo) * (self.decay(lo) + self.decay(hi))
-        return np.bincount(owner, piece, minlength=start.size).reshape(np.shape(a))
-
-    def cell_moment(self, a, b):
-        lo, hi, start, owner = self._pieces(a, b)
-        mid = 0.5 * (lo + hi)
-        a_piece = start[owner]
-        piece = (hi - lo) / 6.0 * ((lo - a_piece) * self.decay(lo)
-                                   + 4.0 * (mid - a_piece) * self.decay(mid)
-                                   + (hi - a_piece) * self.decay(hi))
-        return np.bincount(owner, piece, minlength=start.size).reshape(np.shape(a))
+        return np.bincount(owner, piece, minlength=np.size(a)).reshape(np.shape(a))
 
     def _pieces(self, a, b):
         """Cut each interval [a[i], b[i]] at the table knots strictly inside it.
 
-        Returns the ends lo, hi of every piece, the flattened interval starts
-        and the index i of the interval each piece belongs to. H is linear
-        on every piece.
+        Returns the ends lo, hi of every piece and the index i of the
+        interval each piece belongs to. H is linear on every piece.
         """
         a, b, knots = np.ravel(a), np.ravel(b), self.times
         first = np.searchsorted(knots, a, side="right")
@@ -262,14 +214,18 @@ class TabulatedKernel(PropagatorKernel):
         last = knots.size - 1
         lo = np.where(pos == 0, a[owner], knots[np.clip(knot - 1, 0, last)])
         hi = np.where(pos == inner[owner], b[owner], knots[np.clip(knot, 0, last)])
-        return lo, hi, a, owner
+        return lo, hi, owner
 
 
 # ---------------------------------------------------------------------------
 # integrated increments
 
 def lower_toeplitz(diagonals: np.ndarray) -> np.ndarray:
-    """(n+1, n+1) strictly lower Toeplitz matrix with diagonals[m] on sub-diagonal m+1."""
+    """(n+1, n+1) strictly lower Toeplitz matrix with diagonals[m] on sub-diagonal m+1.
+
+    The solver never builds it. It stays for the dense matrices: the oracle
+    reads LG, and the tests and the benchmark's tracer read L and U.
+    """
     first_col = np.concatenate(([0.0], diagonals))
     return toeplitz_view(first_col, np.zeros(first_col.size)).copy()
 
@@ -283,8 +239,9 @@ class IntegratedIncrements:
           at distance m from the diagonal are cell[m] + aug
 
     The dense (n+1, n+1) matrices are built on first access: LG for the
-    quadratic-program oracle and a batch rollout, L and U for the tests'
-    dense references. The solver reads only the generator:
+    quadratic-program oracle and a batch rollout. L and U stay because the
+    tests' dense references and the benchmark's tracer, which counts their
+    bytes, read them. The solver reads only the generator:
 
     L   support j <= k-1: cell integrals of G~(t_k, .)
     U   support k <= j <= n-1: cell integrals of G~(., t_k)
@@ -336,68 +293,12 @@ def integrated_increments(kernel: PropagatorKernel, params: ScenarioParams,
     return inc
 
 
-# ---------------------------------------------------------------------------
-# nonnegative definiteness diagnostic
-
-_DEFINITENESS_TOL = 1e-8  # relative to the Gram matrix's norm
-
-
-@dataclass(frozen=True)
-class DefinitenessReport:
-    """Outcome of the grid-level nonnegative-definiteness check.
-
-    A True result certifies the symmetrized kernel quadratic form is
-    nonnegative on piecewise-constant test functions at this resolution;
-    it is a diagnostic, not a proof for the continuum kernel.
-    """
-
-    nonnegative: bool
-    min_eigenvalue: float
-    matrix_norm: float
-    n: int
-
-    def __bool__(self):
-        return self.nonnegative
-
-
-def _gram_first_row(kernel: PropagatorKernel, dt: float, n: int) -> np.ndarray:
-    """First row of the Gram matrix of G(t, s) + G(s, t) over the grid cells.
-
-    Entry m is the integral of (dt - |x - m*dt|) * H(x) over the two cells
-    beside m*dt. With M[j] the moment of H on cell j about its left end and
-    A[j] = dt*cell[j] - M[j], entry 0 is 2*A[0] and entry m is A[m] + M[m-1].
-    """
-    edges = np.arange(n + 1) * dt
-    moment = kernel.cell_moment(edges[:-1], edges[1:])
-    row = dt * kernel.cell_integral(edges[:-1], edges[1:]) - moment
-    row[0] *= 2.0
-    row[1:] += moment[:-1]
-    return row
-
-
-def check_nonnegative_definite(kernel: PropagatorKernel, grid: TimeGrid) -> DefinitenessReport:
-    """Test the symmetrized quadratic form of G on piecewise-constant functions.
-
-    Builds the exact Gram matrix of G(t, s) + G(s, t) over the grid cells
-    and reports whether its smallest eigenvalue is nonnegative up to
-    ``_DEFINITENESS_TOL`` times the matrix norm.
-    """
-    n, dt = grid.n, grid.dt
-    row = _gram_first_row(kernel, dt, n)
-    eigs = np.linalg.eigvalsh(toeplitz_view(row, row))
-    min_eig = float(eigs[0])
-    norm = float(np.max(np.abs(eigs)))
-    return DefinitenessReport(
-        nonnegative=min_eig >= -_DEFINITENESS_TOL * norm,
-        min_eigenvalue=min_eig,
-        matrix_norm=norm,
-        n=n,
-    )
-
-
 def concavity_failure(kernel: PropagatorKernel, params: ScenarioParams,
                       grid: TimeGrid) -> tuple[int, float] | None:
     """First grid step at which the discrete objective stops being strictly concave.
+
+    This is the library's admissibility check for a kernel on a grid: the
+    CLI runs it on every config before any output is written.
 
     With phi = 0 the negated Hessian of the discrete objective on the
     active speeds (``oracle.assemble_qp``) is dt * toeplitz(col), with

@@ -1,7 +1,34 @@
 import numpy as np
 import pytest
+import scipy.integrate as si
+import scipy.linalg as sl
 
 from exec_solver import ExponentialKernel, FractionalKernel, ScenarioParams, TimeGrid
+
+
+def gram_definiteness(kernel, grid):
+    """Whether the kernel's symmetrized quadratic form is nonnegative on
+    piecewise-constant functions over the grid cells, and the smallest
+    eigenvalue of its Gram matrix.
+
+    The Gram matrix of G(t, s) + G(s, t) is Toeplitz. Entry m of its first
+    row is the integral of (dt - |x - m*dt|) * H(x) over the two cells beside
+    m*dt, doubled at m = 0, here by adaptive quadrature of ``decay`` split at
+    m*dt and at any table knots inside. The form counts as nonnegative when
+    the smallest eigenvalue is at least -1e-8 times the matrix's norm: a
+    diagnostic at this resolution, not a proof for the continuum kernel.
+    """
+    n, dt = grid.n, grid.dt
+    knots = getattr(kernel, "times", np.array([]))
+    row = np.empty(n)
+    for m in range(n):
+        lo, hi = max(m - 1, 0) * dt, (m + 1) * dt
+        points = np.concatenate(([m * dt], knots[(knots > lo) & (knots < hi)]))
+        row[m] = si.quad(lambda x: (dt - abs(x - m * dt)) * float(kernel.decay(x)),
+                         lo, hi, points=points, limit=200)[0]
+    row[0] *= 2.0
+    eigs = np.linalg.eigvalsh(sl.toeplitz(row))
+    return bool(eigs[0] >= -1e-8 * np.max(np.abs(eigs))), float(eigs[0])
 
 
 def dense_curvature(inc, params, grid, i):

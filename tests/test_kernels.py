@@ -14,21 +14,19 @@ from exec_solver import (
     FractionalKernel,
     InputError,
     IntegratedIncrements,
+    OUSignal,
+    PropagatorKernel,
     ScenarioParams,
     TabulatedKernel,
     TimeGrid,
     ModelError,
     ZeroKernel,
     assemble_qp,
-    check_nonnegative_definite,
     integrated_increments,
+    solve_scenario,
 )
-from exec_solver.kernels import (
-    _cell_values,
-    _gram_first_row,
-    _polya_certified,
-    concavity_failure,
-)
+from conftest import gram_definiteness
+from exec_solver.kernels import _cell_values, _polya_certified, concavity_failure
 
 ALL_DECAYING = [
     ExponentialKernel(1.0, 0.5),
@@ -53,8 +51,8 @@ def quad_increments(kernel, params, grid):
     return IntegratedIncrements(cell=np.array(cell), dt=dt, varrho=params.varrho)
 
 
-def exact_interpolant_integrals(times, values, a, b):
-    """Integral and first moment about a of the tabulated interpolant on [a, b].
+def exact_interpolant_integral(times, values, a, b):
+    """Integral of the tabulated interpolant on [a, b].
 
     Exact rational arithmetic on the float inputs: H is linear between the
     knots and held at the last value beyond them, so each piece integrates
@@ -70,14 +68,12 @@ def exact_interpolant_integrals(times, values, a, b):
         return ys[i] + (ys[i + 1] - ys[i]) * (x - xs[i]) / (xs[i + 1] - xs[i])
 
     cuts = [a] + [x for x in xs if a < x < b] + [b]
-    integral = moment = Fraction(0)
+    integral = Fraction(0)
     for lo, hi in zip(cuts, cuts[1:]):
         slope = (H(hi) - H(lo)) / (hi - lo)
         icpt = H(lo) - slope * lo  # H(x) = icpt + slope * x on [lo, hi]
         integral += icpt * (hi - lo) + slope * (hi**2 - lo**2) / 2
-        moment += (slope * (hi**3 - lo**3) / 3 + (icpt - a * slope) * (hi**2 - lo**2) / 2
-                   - a * icpt * (hi - lo))
-    return integral, moment
+    return integral
 
 
 class TestEval:
@@ -206,16 +202,12 @@ class TestIntegratedIncrements:
     def test_fractional_cells_far_from_origin(self, m):
         # b^alpha - a^alpha cancels more digits the farther the cell lies
         # from the origin; the log1p/expm1 form keeps cells to a few ulps
-        # and moments to about m ulps
         kernel = FractionalKernel(c=1.2, alpha=0.55)
         dt = 10.0 / 4096
         a, b = m * dt, (m + 1) * dt
-        kw = dict(epsabs=0.0, epsrel=2e-14, limit=200)
-        cell = si.quad(kernel.decay, a, b, **kw)[0]
-        moment = si.quad(lambda x: (x - a) * kernel.decay(x), a, b, **kw)[0]
-        ends = np.array([a]), np.array([b])
-        assert kernel.cell_integral(*ends)[0] == pytest.approx(cell, rel=1e-14, abs=0)
-        assert kernel.cell_moment(*ends)[0] == pytest.approx(moment, rel=1e-11, abs=0)
+        cell = si.quad(kernel.decay, a, b, epsabs=0.0, epsrel=2e-14, limit=200)[0]
+        got = kernel.cell_integral(np.array([a]), np.array([b]))[0]
+        assert got == pytest.approx(cell, rel=1e-14, abs=0)
 
     def test_shift_invariance_convolution(self):
         params = ScenarioParams(q=1, T=5, lam=1, varrho=0.7)
@@ -354,40 +346,36 @@ class TestIntegratedIncrements:
         grid = TimeGrid.uniform(T, n)
         cell = integrated_increments(kernel, ScenarioParams(q=1, T=T, lam=1), grid).cell
         edges = np.arange(n + 1) * grid.dt
-        moment = kernel.cell_moment(edges[:-1], edges[1:])
         for m in range(n):
-            want_cell, want_moment = exact_interpolant_integrals(times, values,
-                                                                 edges[m], edges[m + 1])
-            assert abs(float((Fraction(cell[m]) - want_cell) / want_cell)) <= 1e-13, m
-            assert abs(float((Fraction(moment[m]) - want_moment) / want_moment)) <= 1e-13, m
+            want = exact_interpolant_integral(times, values, edges[m], edges[m + 1])
+            assert abs(float((Fraction(cell[m]) - want) / want)) <= 1e-13, m
 
 
-class TestGramClosedForms:
-    @staticmethod
-    def gram_entry_oracle(kernel, dt, m):
-        # integral of (dt - |x - m*dt|) * H(x) over the cells beside m*dt,
-        # split at the cell edges and at any table knots inside
-        lo, hi = max(m - 1, 0) * dt, (m + 1) * dt
-        knots = getattr(kernel, "times", np.array([]))
-        points = np.concatenate(([m * dt], knots[(knots > lo) & (knots < hi)]))
-        value = si.quad(lambda x: (dt - abs(x - m * dt)) * float(kernel.decay(x)),
-                        lo, hi, points=points, limit=200, epsabs=0.0, epsrel=1e-13)[0]
-        return 2.0 * value if m == 0 else value
+class TwoHookKernel(PropagatorKernel):
+    """A user-defined kernel with only the two hooks, each delegating to ``inner``."""
 
-    def test_against_adaptive_quadrature(self):
-        # every Gram entry comes from the cell-integral and cell-moment hooks
-        dt = 0.37
-        times = np.concatenate(([0.0], np.sort(np.random.default_rng(3).uniform(0.0, 2.5, 12))))
-        kernels = [ZeroKernel(), ExponentialKernel(1.3, 0.5), FractionalKernel(0.9, 0.55),
-                   TabulatedKernel(times=times, values=np.exp(-times) * (1.2 + np.sin(4 * times)))]
-        kernels += [BoundedPowerLawKernel(0.6, beta) for beta in
-                    (0.3, 1.0, 1.0 - 1e-9, 1.0 + 1e-9, 2.0 - 1e-9, 2.0 + 1e-9, 3.0)]
-        for kernel in kernels:
-            row = _gram_first_row(kernel, dt, 8)
-            for m in (0, 1, 2, 7):
-                oracle = self.gram_entry_oracle(kernel, dt, m)
-                rel = 1e-11 if m == 0 else 1e-10
-                assert row[m] == pytest.approx(oracle, rel=rel), (kernel, m)
+    def __init__(self, inner):
+        self.inner = inner
+
+    def decay(self, tau):
+        return self.inner.decay(tau)
+
+    def cell_integral(self, a, b):
+        return self.inner.cell_integral(a, b)
+
+
+def test_two_hook_kernel_matches_the_shipped_kernel(fig1_params):
+    # decay and cell_integral are all that a kernel must define: cells,
+    # admissibility verdict and optimal speeds equal the shipped kernel's bit for bit
+    shipped = ExponentialKernel(1.0, 0.5)
+    user = TwoHookKernel(shipped)
+    grid = TimeGrid.uniform(10.0, 64)
+    want, got = (integrated_increments(k, fig1_params, grid).cell for k in (shipped, user))
+    assert np.array_equal(got, want)
+    assert concavity_failure(user, fig1_params, grid) == concavity_failure(shipped, fig1_params, grid)
+    signal = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
+    want, got = (solve_scenario(fig1_params, k, signal, grid, seed=7).u for k in (shipped, user))
+    assert np.array_equal(got, want)
 
 
 class TestDefiniteness:
@@ -397,22 +385,17 @@ class TestDefiniteness:
         times = np.linspace(0.0, 12.0, 37)
         table = TabulatedKernel(times=times, values=np.exp(-0.3 * times))
         for kernel in ALL_DECAYING + [ZeroKernel(), table]:
-            report = check_nonnegative_definite(kernel, TimeGrid.uniform(10.0, n))
-            assert report.nonnegative, (type(kernel).__name__, n, report)
+            nonnegative, min_eig = gram_definiteness(kernel, TimeGrid.uniform(10.0, n))
+            assert nonnegative, (type(kernel).__name__, n, min_eig)
 
     def test_constant_negative_counterexample(self):
         grid = TimeGrid.uniform(10.0, 16)
         kernel = TabulatedKernel.from_grid_values(grid, -np.ones(17))
-        report = check_nonnegative_definite(kernel, grid)
-        assert not report.nonnegative
-        assert report.min_eigenvalue < 0
+        nonnegative, min_eig = gram_definiteness(kernel, grid)
+        assert not nonnegative
+        assert min_eig < 0
         # the Gram matrix is -dt^2 times the all-ones matrix
-        assert report.min_eigenvalue == pytest.approx(-16 * grid.dt**2, rel=1e-12)
-
-    def test_report_is_truthy_interface(self, exp_kernel):
-        report = check_nonnegative_definite(exp_kernel, TimeGrid.uniform(10.0, 16))
-        assert bool(report) is True
-        assert report.matrix_norm > 0
+        assert min_eig == pytest.approx(-16 * grid.dt**2, rel=1e-12)
 
 
 def concavity_counterexample(lam):
