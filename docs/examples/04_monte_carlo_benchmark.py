@@ -2,7 +2,8 @@
 behavioral optimality check.
 
 We estimate the expected objective of the signal-adaptive solver against a
-constant-rate (TWAP) benchmark on common random numbers, then bump the
+constant-rate (TWAP) benchmark on common random numbers (one batch of
+simulated signal paths, passed to both estimates), then bump the
 solver's strategy with deterministic hat-shaped perturbations and check
 that no bump improves the expected objective beyond noise.
 """
@@ -17,6 +18,7 @@ from exec_solver import (
     mc_objective,
     nystrom_rule,
     perturbation_test,
+    simulate_signal,
     twap_rule,
 )
 
@@ -25,11 +27,11 @@ grid = TimeGrid.uniform(params.T, 128)
 kernel = ExponentialKernel(c=1.0, rho=0.5)
 signal = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
 
+# one simulation, shared: both strategies trade against the same paths
 n_paths, seed = 2000, 123
-adaptive = mc_objective(params, kernel, signal, grid,
-                        nystrom_rule(params, kernel, signal, grid), n_paths, seed)
-bench = mc_objective(params, kernel, signal, grid,
-                     twap_rule(params, grid), n_paths, seed)
+paths = simulate_signal(signal, grid, seed, n_paths=n_paths)
+adaptive = mc_objective(params, kernel, grid, nystrom_rule(params, kernel, signal, grid), paths)
+bench = mc_objective(params, kernel, grid, twap_rule(params, grid), paths)
 
 print(f"{n_paths} common signal paths, seed {seed}:")
 print(f"  signal-adaptive: {adaptive.mean:9.3f} +- {adaptive.stderr:.3f}")

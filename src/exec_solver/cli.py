@@ -51,7 +51,7 @@ from .kernels import (
 from .model import ScenarioParams, TimeGrid
 from .nystrom import solve_scenario_detail
 from .oracle import mc_objective, nystrom_rule, twap_rule
-from .signals import OUSignal, SignalModel, TabulatedSignal, ZeroSignal
+from .signals import OUSignal, SignalModel, TabulatedSignal, ZeroSignal, simulate_signal
 
 __all__ = ["RunConfig", "parse_config", "load_config", "run", "main"]
 
@@ -502,14 +502,17 @@ def _case_tables(cfg: RunConfig) -> list:
 
 
 def _mc_tables(cfg: RunConfig) -> list:
-    estimates = [mc_objective(cfg.scenario, cfg.kernel, cfg.signal, cfg.grid,
-                              _STRATEGIES[name][1](cfg), cfg.mc_n_paths, cfg.seed)
+    # one simulation per run: every strategy is estimated over the same
+    # paths, so the estimates share their random numbers
+    paths = simulate_signal(cfg.signal, cfg.grid, cfg.seed, n_paths=cfg.mc_n_paths)
+    estimates = [mc_objective(cfg.scenario, cfg.kernel, cfg.grid,
+                              _STRATEGIES[name][1](cfg), paths)
                  for name in cfg.mc_strategies]
     columns = [list(cfg.mc_strategies),
                np.array([est.mean for est in estimates]),
                np.array([est.stderr for est in estimates]),
-               [str(est.n_paths) for est in estimates],
-               [str(est.seed) for est in estimates]]
+               [str(cfg.mc_n_paths)] * len(estimates),
+               [str(cfg.seed)] * len(estimates)]
     return [("mc_summary.csv", "strategy,mean,stderr,n_paths,seed", columns)]
 
 

@@ -61,6 +61,7 @@ from .model import (
 from .signals import (
     OUSignal,
     SignalModel,
+    TabulatedSignal,
     ZeroSignal,
     forecast_diagonal,
     forecast_matrix,
@@ -242,6 +243,11 @@ class NystromEngine:
     substitutes once: at n = 200 on one BLAS thread about 75 us of CPU time
     a path, about 20 us of it the forecast matrix.
 
+    A signal the engine cannot source fails the build, before any row is
+    computed: a tabulated signal with no forecast matrix raises
+    UnsupportedSignalError, one whose forecast does not fit the grid and a
+    signal model of unknown type raise InputError.
+
     The build and every public method run with numpy's floating-point
     warnings off, so under any warning filter a section singular to working
     precision raises the NumericError of its pivot check, and a source or
@@ -251,6 +257,11 @@ class NystromEngine:
     @np.errstate(all="ignore")
     def __init__(self, params: ScenarioParams, kernel: PropagatorKernel,
                  grid: TimeGrid, signal: SignalModel):
+        if isinstance(signal, TabulatedSignal):
+            # the checks of the forecast that every source of this signal reads
+            forecast_matrix(signal, signal.values, grid)
+        elif not isinstance(signal, (OUSignal, ZeroSignal)):
+            raise InputError(f"unknown signal model {type(signal).__name__}")
         self.params = params
         self.grid = grid
         self.signal = signal
@@ -306,6 +317,7 @@ class NystromEngine:
         over whole rows of ``rows``, I - B part included.
         """
         n = self.grid.n
+        forecasts = np.asarray(forecasts, dtype=float)
         if forecasts.shape != (n + 1, n + 1):
             raise InputError(
                 f"forecast matrix has shape {forecasts.shape}, expected ({n + 1}, {n + 1})"

@@ -185,37 +185,37 @@ class McEstimate:
 
     mean: float
     stderr: float
-    n_paths: int
-    seed: int
     samples: np.ndarray
 
 
 @np.errstate(all="ignore")
-def mc_objective(params: ScenarioParams, kernel: PropagatorKernel,
-                 signal: SignalModel, grid: TimeGrid, rule, n_paths: int,
-                 seed: int = 0) -> McEstimate:
-    """Expected objective of a strategy rule over simulated signal paths.
+def mc_objective(params: ScenarioParams, kernel: PropagatorKernel, grid: TimeGrid,
+                 rule, paths: np.ndarray) -> McEstimate:
+    """Expected objective of a strategy rule over given signal paths.
 
-    The rule maps a realized signal path to a speed vector; it is called
-    once per path, in path order. Paths depend only on (seed, n_paths), so
-    calling with the same seed for different rules evaluates them on
-    common random numbers; paired differences of ``samples`` then have
-    reduced variance.
+    ``paths`` holds realized signal paths, shape (paths, n+1), as
+    ``simulate_signal`` returns them. The rule maps one path to a speed
+    vector and is called once per path, in order. Rules estimated over the
+    same array share their random numbers, so paired differences of
+    ``samples`` have reduced variance.
 
-    All paths are simulated at once, and the kernel's increments are built
-    once. Then each chunk of up to 256 paths has its speeds written row by
-    row into one preallocated (chunk, n+1) buffer, is rolled out, priced
-    and evaluated, and writes its totals into ``samples``. So the peak
-    holds one (n_paths, n+1) array, the signal paths, plus one chunk's
-    speeds, inventory, distortion and prices. The samples equal those of
-    one whole batch when the paths fit in one chunk, and match them to
-    rounding otherwise: BLAS may sum a row of a small chunk in another
-    order. ``simulate_signal`` checks ``n_paths`` before anything is
-    allocated. A rule that returns the wrong shape raises InputError.
-    numpy's floating-point warnings are off inside: an overflow raises
+    The kernel's increments are built once. Each chunk of up to 256 paths
+    has its speeds written row by row into one preallocated (chunk, n+1)
+    buffer, is rolled out, priced and evaluated, and writes its totals
+    into ``samples``: besides the paths, the peak holds one chunk's speeds,
+    inventory, distortion and prices. The samples equal those of one whole
+    batch when the paths fit in one chunk, and match them to rounding
+    otherwise: BLAS may sum a row of a small chunk in another order. Paths
+    of another shape, or none, raise InputError before the increments are
+    built, and so does a rule that returns the wrong shape. numpy's
+    floating-point warnings are off inside: an overflow raises
     NumericError from a finiteness check.
     """
-    paths = simulate_signal(signal, grid, seed, n_paths=n_paths)
+    paths = np.asarray(paths, dtype=float)
+    if paths.ndim != 2 or paths.shape[0] < 1 or paths.shape[1] != grid.n + 1:
+        raise InputError(f"signal paths have shape {paths.shape}, expected "
+                         f"(paths, {grid.n + 1}) with at least one path")
+    n_paths = paths.shape[0]
     inc = integrated_increments(kernel, params, grid)
     samples = np.empty(n_paths)
     speeds = np.empty((min(n_paths, _CHUNK), grid.n + 1))
@@ -236,8 +236,7 @@ def mc_objective(params: ScenarioParams, kernel: PropagatorKernel,
     if not (np.isfinite(mean) and np.isfinite(stderr)):
         raise NumericError("non-finite Monte Carlo objective: the scenario overflows "
                            "double precision")
-    return McEstimate(mean=mean, stderr=stderr, n_paths=n_paths, seed=seed,
-                      samples=samples)
+    return McEstimate(mean=mean, stderr=stderr, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -285,14 +284,17 @@ def perturbation_test(params: ScenarioParams, kernel: PropagatorKernel,
     passes when the estimate is below +2 standard errors (exactly zero
     noise allowance for deterministic signals, up to floating-point dust).
     Every rollout uses the increments of the solver's engine, so the
-    kernel's cell integrals are built once. ``simulate_signal`` checks
-    ``n_paths`` before the engine is built.
-    numpy's floating-point warnings are off inside: an overflow raises
-    NumericError from a finiteness check.
+    kernel's cell integrals are built once. A count that is no integer
+    >= 1 (a bool included), no or a non-finite ``eps_rels`` entry and a bad
+    ``seed`` raise InputError before any path is simulated. numpy's
+    floating-point warnings are off inside: an overflow raises NumericError
+    from a finiteness check.
     """
-    if n_perturbations < 1 or not eps_rels:
-        raise InputError(f"perturbation test needs n_perturbations >= 1 and some eps_rels, "
-                         f"got {n_perturbations}, {eps_rels!r}")
+    if not (isinstance(n_perturbations, (int, np.integer))
+            and not isinstance(n_perturbations, bool) and n_perturbations >= 1):
+        raise InputError(f"n_perturbations must be an integer >= 1, got {n_perturbations!r}")
+    if not (len(eps_rels) and np.isfinite(eps_rels).all()):
+        raise InputError(f"eps_rels must be some finite numbers, got {eps_rels!r}")
     paths = simulate_signal(signal, grid, seed, n_paths=n_paths)
     engine = NystromEngine(params, kernel, grid, signal)
     us = engine.speeds_for_paths(paths)

@@ -26,7 +26,6 @@ from exec_solver import (
     assemble_qp,
     integrated_increments,
     perturbation_test,
-    rollout,
     solve_qp,
     solve_scenario,
 )

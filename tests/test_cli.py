@@ -10,6 +10,9 @@ import pytest
 
 from exec_solver import ConfigError, NumericError, ScenarioParams, TimeGrid
 import exec_solver.cli as cli_mod
+import exec_solver.nystrom as nystrom_mod
+import exec_solver.oracle as oracle_mod
+import exec_solver.signals as signals_mod
 from exec_solver.cli import load_config, main, parse_config, run
 from exec_solver.kernels import (BoundedPowerLawKernel, ExponentialKernel, FractionalKernel,
                                  TabulatedKernel, ZeroKernel)
@@ -343,7 +346,7 @@ class TestRun:
         elif cfg.mode == "mc":
             assert len(estimates) == len(cfg.mc_strategies)
             name, header = "mc_summary.csv", ["strategy", "mean", "stderr", "n_paths", "seed"]
-            rows = [(strategy, est.mean, est.stderr, str(est.n_paths), str(est.seed))
+            rows = [(strategy, est.mean, est.stderr, str(cfg.mc_n_paths), str(cfg.seed))
                     for strategy, est in zip(cfg.mc_strategies, estimates)]
         else:
             assert len(solutions) == len(cfg.cases)
@@ -376,6 +379,32 @@ class TestRun:
         run(parse_config(text.format(out=tmp_path / "b")))
         summary = "mc_summary.csv"
         assert (tmp_path / "a" / summary).read_bytes() == (tmp_path / "b" / summary).read_bytes()
+
+    @pytest.mark.parametrize("strategies", ["nystrom", "twap", "nystrom, twap"])
+    def test_mc_simulates_once_per_run(self, tmp_path, monkeypatch, strategies):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return simulate_signal(*args, **kwargs)
+
+        for module in (cli_mod, signals_mod, oracle_mod, nystrom_mod):
+            monkeypatch.setattr(module, "simulate_signal", counted)
+        run(parse_config(f"mode = mc\noutput_dir = {tmp_path / 'm'}\ngrid.n = 24\n"
+                         f"signal.type = ou\nmc.n_paths = 40\nmc.strategies = {strategies}\n"))
+        assert len(calls) == 1
+
+    def test_mc_rows_do_not_depend_on_the_other_strategies(self, tmp_path):
+        text = ("mode = mc\noutput_dir = {out}\ngrid.n = 24\nseed = 3\n"
+                "kernel.type = exponential\nsignal.type = ou\nmc.n_paths = 40\n"
+                "mc.strategies = {strategies}\n")
+        lines = {}
+        for strategies in ("nystrom, twap", "twap, nystrom", "nystrom", "twap"):
+            out = tmp_path / strategies.replace(", ", "_")
+            run(parse_config(text.format(out=out, strategies=strategies)))
+            lines[strategies] = (out / "mc_summary.csv").read_text().splitlines()[1:]
+        assert lines["nystrom"] + lines["twap"] == lines["nystrom, twap"]
+        assert lines["twap"] + lines["nystrom"] == lines["twap, nystrom"]
 
     def test_sweep_outputs(self, tmp_path):
         text = f"""

@@ -15,9 +15,11 @@ from exec_solver import (
     NystromEngine,
     OUSignal,
     ScenarioParams,
+    SignalModel,
     TabulatedKernel,
     TabulatedSignal,
     TimeGrid,
+    UnsupportedSignalError,
     ZeroKernel,
     ZeroSignal,
     integrated_increments,
@@ -428,6 +430,14 @@ class TestSourceVector:
         with pytest.raises(InputError, match="forecast matrix"):
             source_vector(fig1_params, exp_kernel, grid, np.zeros((6, 6)))
 
+    def test_nested_list_reaches_the_shape_check(self, fig1_params, exp_kernel):
+        grid = TimeGrid.uniform(10, 6)
+        with pytest.raises(InputError, match=r"forecast matrix has shape \(6, 6\)"):
+            source_vector(fig1_params, exp_kernel, grid, [[0.0] * 6] * 6)
+        want = source_vector(fig1_params, exp_kernel, grid, np.zeros((7, 7)))
+        got = source_vector(fig1_params, exp_kernel, grid, [[0.0] * 7] * 7)
+        assert np.array_equal(got, want)
+
 
 def engine_signals(n, rng):
     """An OU, a zero and a tabulated signal with a random forecast, on n steps."""
@@ -502,6 +512,25 @@ class TestEngine:
         assert np.array_equal(engine.source_for_path(values), engine.source_vector(N))
         detail = solve_scenario_detail(fig1_params, exp_kernel, sig, grid)
         assert np.array_equal(detail.forecast_diag, np.diag(N))
+
+    def test_signal_that_cannot_be_sourced_fails_the_build(self, fig1_params, exp_kernel,
+                                                            monkeypatch):
+        # each used to build, and raise only at the first source_for_path
+        class OtherSignal(SignalModel):
+            pass
+
+        def unreachable(*args):
+            raise AssertionError("built response rows for a signal with no source")
+
+        monkeypatch.setattr(nystrom_mod, "response_rows", unreachable)
+        grid = TimeGrid.uniform(10.0, 8)
+        with pytest.raises(UnsupportedSignalError, match="no closed-form forecast"):
+            NystromEngine(fig1_params, exp_kernel, grid, TabulatedSignal(np.ones(9)))
+        with pytest.raises(InputError, match=r"expected \(9,\)"):
+            NystromEngine(fig1_params, exp_kernel, grid,
+                          TabulatedSignal(np.ones(10), forecast=np.eye(10)))
+        with pytest.raises(InputError, match="unknown signal model OtherSignal"):
+            NystromEngine(fig1_params, exp_kernel, grid, OtherSignal())
 
     def test_source_for_path_checks_the_path_shape(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10.0, 8)

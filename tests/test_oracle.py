@@ -202,64 +202,57 @@ class TestMonteCarlo:
     def test_zero_strategy_mean_exact(self):
         params = ScenarioParams(q=10, T=10, lam=0.5, varrho=4, phi=1)
         grid = TimeGrid.uniform(10, 16)
-        est = mc_objective(params, ZeroKernel(), ZeroSignal(), grid,
-                           lambda path: np.zeros(17), n_paths=5, seed=0)
+        est = mc_objective(params, ZeroKernel(), grid, lambda path: np.zeros(17),
+                           np.zeros((5, 17)))
         assert est.mean == -1400.0  # varrho q^2 + phi q^2 T
         assert est.stderr == 0.0
 
     def test_deterministic_rule_zero_signal_matches_pathwise(self, fig1_params):
         grid = TimeGrid.uniform(10, 16)
         kernel = ExponentialKernel(1, 0.5)
-        est = mc_objective(fig1_params, kernel, ZeroSignal(), grid,
-                           twap_rule(fig1_params, grid), n_paths=3, seed=0)
+        est = mc_objective(fig1_params, kernel, grid, twap_rule(fig1_params, grid),
+                           np.zeros((3, 17)))
         sp = rollout(np.full(17, 1.0), fig1_params, grid, kernel)
         want = evaluate_objective(sp, fig1_params, grid, np.zeros(17)).total
         assert est.stderr == 0.0
         assert est.mean == pytest.approx(want, rel=1e-12)
 
     def test_samples_match_pathwise_objective(self, frac_kernel):
+        # at n = 24 and at the minimum grid, n = 2
         params = ScenarioParams(q=10, T=10, lam=0.5, varrho=4, h0=0.7)
-        grid = TimeGrid.uniform(10, 24)
         sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
-        rule = nystrom_rule(params, frac_kernel, sig, grid)
-        est = mc_objective(params, frac_kernel, sig, grid, rule, n_paths=20, seed=3)
-        for sample, path in zip(est.samples, simulate_signal(sig, grid, 3, n_paths=20)):
-            sp = rollout(rule(path), params, grid, frac_kernel, signal_values=path)
-            bd = evaluate_objective(sp, params, grid, price_path(path, grid))
-            scale = (abs(bd.revenue) + bd.temporary_cost + abs(bd.transient_cost)
-                     + bd.terminal_penalty)
-            assert sample == pytest.approx(bd.total, rel=0, abs=1e-13 * scale)
+        for n in (24, 2):
+            grid = TimeGrid.uniform(10, n)
+            rule = nystrom_rule(params, frac_kernel, sig, grid)
+            paths = simulate_signal(sig, grid, 3, n_paths=20)
+            est = mc_objective(params, frac_kernel, grid, rule, paths)
+            for sample, path in zip(est.samples, paths):
+                sp = rollout(rule(path), params, grid, frac_kernel, signal_values=path)
+                bd = evaluate_objective(sp, params, grid, price_path(path, grid))
+                scale = (abs(bd.revenue) + bd.temporary_cost + abs(bd.transient_cost)
+                         + bd.terminal_penalty)
+                assert sample == pytest.approx(bd.total, rel=0, abs=1e-13 * scale)
 
-    @pytest.mark.parametrize("n_paths", [0, 2.5, 3.0, True])
-    def test_path_count_checked_before_any_allocation(self, fig1_params, exp_kernel,
-                                                      monkeypatch, n_paths):
+    @pytest.mark.parametrize("shape", [(0, 17), (4, 16), (4, 18), (17,), (2, 4, 17)],
+                             ids=str)
+    def test_paths_shape_checked_before_the_increments(self, fig1_params, exp_kernel,
+                                                       monkeypatch, shape):
+        # the path count and seed are simulate_signal's to check
+        # (TestSimulation::test_path_count_validation and ::test_seed_validation)
         def unreachable(*args):
-            raise AssertionError("built increments for an invalid path count")
+            raise AssertionError("built increments for paths of the wrong shape")
 
         monkeypatch.setattr(oracle_mod, "integrated_increments", unreachable)
         grid = TimeGrid.uniform(10, 16)
-        with pytest.raises(InputError, match="n_paths must be an integer >= 1"):
-            mc_objective(fig1_params, exp_kernel, OUSignal(I0=2.0, gamma=0.3, sigma=0.5),
-                         grid, twap_rule(fig1_params, grid), n_paths=n_paths, seed=0)
-
-    @pytest.mark.parametrize("seed", [True, False])
-    def test_bool_seed_rejected_before_any_allocation(self, fig1_params, exp_kernel,
-                                                      monkeypatch, seed):
-        # a bool used to run on the seed 1 or 0
-        def unreachable(*args):
-            raise AssertionError("built increments for an invalid seed")
-
-        monkeypatch.setattr(oracle_mod, "integrated_increments", unreachable)
-        grid = TimeGrid.uniform(10, 16)
-        with pytest.raises(InputError, match="seed must be an integer"):
-            mc_objective(fig1_params, exp_kernel, OUSignal(I0=2.0, gamma=0.3, sigma=0.5),
-                         grid, twap_rule(fig1_params, grid), n_paths=4, seed=seed)
+        with pytest.raises(InputError, match=r"signal paths have shape .*\(paths, 17\)"):
+            mc_objective(fig1_params, exp_kernel, grid, twap_rule(fig1_params, grid),
+                         np.zeros(shape))
 
     def test_rule_with_wrong_length_rejected(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10, 16)
         with pytest.raises(InputError, match="shape"):
-            mc_objective(fig1_params, exp_kernel, ZeroSignal(), grid,
-                         lambda path: np.ones(16), n_paths=3, seed=0)
+            mc_objective(fig1_params, exp_kernel, grid, lambda path: np.ones(16),
+                         np.zeros((3, 17)))
 
     @pytest.mark.parametrize("strategy", ["nystrom", "twap"])
     def test_samples_equal_a_stacked_reference(self, fig1_params, exp_kernel, strategy):
@@ -268,8 +261,8 @@ class TestMonteCarlo:
         grid = TimeGrid.uniform(10, 40)
         sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
         rule = make_rule(strategy, fig1_params, exp_kernel, sig, grid)
-        est = mc_objective(fig1_params, exp_kernel, sig, grid, rule, n_paths=30, seed=8)
         paths = simulate_signal(sig, grid, 8, n_paths=30)
+        est = mc_objective(fig1_params, exp_kernel, grid, rule, paths)
         us = np.stack([rule(p) for p in paths])
         steps = np.empty(us.shape)
         steps[:, 0] = fig1_params.q
@@ -293,8 +286,8 @@ class TestMonteCarlo:
         grid = TimeGrid.uniform(10, 200)
         sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
         rule = make_rule(strategy, fig1_params, exp_kernel, sig, grid)
-        est = mc_objective(fig1_params, exp_kernel, sig, grid, rule, n_paths, seed=9)
         paths = simulate_signal(sig, grid, 9, n_paths=n_paths)
+        est = mc_objective(fig1_params, exp_kernel, grid, rule, paths)
         whole = rollout(np.stack([rule(p) for p in paths]), fig1_params, grid, exp_kernel,
                         signal_values=paths)
         want = evaluate_objective(whole, fig1_params, grid, price_path(paths, grid)).total
@@ -304,7 +297,7 @@ class TestMonteCarlo:
             assert np.all(np.abs(est.samples - want) <= 1e-13 * np.abs(want))
 
     def test_rule_sees_every_path_once_in_order(self, fig1_params, exp_kernel):
-        # common random numbers: the k-th call gets the k-th simulated path
+        # common random numbers: the k-th call gets the k-th given path
         grid = TimeGrid.uniform(10, 16)
         sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
         seen = []
@@ -313,9 +306,9 @@ class TestMonteCarlo:
             seen.append(path.copy())
             return np.ones(17)
 
-        n_paths = 2 * CHUNK + 1
-        mc_objective(fig1_params, exp_kernel, sig, grid, rule, n_paths, seed=6)
-        assert np.array_equal(np.array(seen), simulate_signal(sig, grid, 6, n_paths=n_paths))
+        paths = simulate_signal(sig, grid, 6, n_paths=2 * CHUNK + 1)
+        mc_objective(fig1_params, exp_kernel, grid, rule, paths)
+        assert np.array_equal(np.array(seen), paths)
 
     def test_wrong_shape_in_a_later_chunk_rejected(self, fig1_params, exp_kernel):
         grid = TimeGrid.uniform(10, 16)
@@ -326,7 +319,7 @@ class TestMonteCarlo:
             return np.ones(16 if len(calls) == CHUNK + 2 else 17)
 
         with pytest.raises(InputError, match=r"shape \(16,\), expected \(17,\)"):
-            mc_objective(fig1_params, exp_kernel, ZeroSignal(), grid, rule, 2 * CHUNK, seed=0)
+            mc_objective(fig1_params, exp_kernel, grid, rule, np.zeros((2 * CHUNK, 17)))
         assert len(calls) == CHUNK + 2
 
     def test_builds_the_increments_once_for_all_chunks(self, fig1_params, exp_kernel,
@@ -334,6 +327,7 @@ class TestMonteCarlo:
         grid = TimeGrid.uniform(10, 16)
         sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
         rule = nystrom_rule(fig1_params, exp_kernel, sig, grid)
+        paths = simulate_signal(sig, grid, 1, n_paths=3 * CHUNK + 5)
         built = []
 
         def counted(*args):
@@ -342,7 +336,7 @@ class TestMonteCarlo:
 
         for module in (kernels_mod, nystrom_mod, oracle_mod):
             monkeypatch.setattr(module, "integrated_increments", counted)
-        mc_objective(fig1_params, exp_kernel, sig, grid, rule, 3 * CHUNK + 5, seed=1)
+        mc_objective(fig1_params, exp_kernel, grid, rule, paths)
         assert len(built) == 1
 
     @pytest.mark.parametrize("strategy", ["nystrom", "twap"])
@@ -353,14 +347,16 @@ class TestMonteCarlo:
         sig = OUSignal(I0=2.0, gamma=0.3, sigma=1e300)
         rule = make_rule(strategy, fig1_params, exp_kernel, sig, grid)
         with pytest.raises(NumericError, match="non-finite"):
-            mc_objective(fig1_params, exp_kernel, sig, grid, rule, 4, seed=11)
+            mc_objective(fig1_params, exp_kernel, grid, rule,
+                         simulate_signal(sig, grid, 11, n_paths=4))
 
     def test_peak_memory_is_one_path_batch_and_one_chunk(self, fig1_params, exp_kernel):
-        # the signal paths span every path; one chunk's speeds, inventory,
-        # distortion and prices are held at a time. The allowance covers the
-        # per-path forecast matrix, LG, numpy's ufunc buffers, one more
-        # chunk-sized temporary and per-path scalars. A first call imports
-        # modules lazily, about 0.7 MB, so one small call runs untraced first
+        # a simulation and an estimate, as in a CLI mc run: the signal paths
+        # span every path; one chunk's speeds, inventory, distortion and
+        # prices are held at a time. The allowance covers the per-path
+        # forecast matrix, LG, numpy's ufunc buffers, one more chunk-sized
+        # temporary and per-path scalars. A first call imports modules
+        # lazily, about 0.7 MB, so one small call runs untraced first
         n, n_paths = 100, 1000
         grid = TimeGrid.uniform(10, n)
         sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
@@ -368,24 +364,29 @@ class TestMonteCarlo:
         chunk = CHUNK * (n + 1) * 8
         for rule in (nystrom_rule(fig1_params, exp_kernel, sig, grid),
                      twap_rule(fig1_params, grid)):
-            mc_objective(fig1_params, exp_kernel, sig, grid, rule, 2, seed=2)
+            mc_objective(fig1_params, exp_kernel, grid, rule,
+                         simulate_signal(sig, grid, 2, n_paths=2))
             tracemalloc.start()
             try:
-                mc_objective(fig1_params, exp_kernel, sig, grid, rule, n_paths, seed=2)
+                mc_objective(fig1_params, exp_kernel, grid, rule,
+                             simulate_signal(sig, grid, 2, n_paths=n_paths))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= batch + 5 * chunk + 4 * (n + 1) ** 2 * 8
 
     def test_seed_determinism(self, fig1_params):
+        # an estimate depends on its paths only, which depend on the seed
         grid = TimeGrid.uniform(10, 16)
         kernel = ExponentialKernel(1, 0.5)
         sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
         rule = twap_rule(fig1_params, grid)
-        a = mc_objective(fig1_params, kernel, sig, grid, rule, 50, seed=4)
-        b = mc_objective(fig1_params, kernel, sig, grid, rule, 50, seed=4)
+        paths = simulate_signal(sig, grid, 4, n_paths=50)
+        a = mc_objective(fig1_params, kernel, grid, rule, paths)
+        b = mc_objective(fig1_params, kernel, grid, rule, paths)
         assert np.array_equal(a.samples, b.samples)
-        c = mc_objective(fig1_params, kernel, sig, grid, rule, 50, seed=5)
+        c = mc_objective(fig1_params, kernel, grid, rule,
+                         simulate_signal(sig, grid, 5, n_paths=50))
         assert not np.array_equal(a.samples, c.samples)
 
     def test_signal_adaptive_beats_twap(self, fig1_params):
@@ -393,11 +394,10 @@ class TestMonteCarlo:
         grid = TimeGrid.uniform(10, 64)
         kernel = ExponentialKernel(1, 0.5)
         sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
-        adaptive = mc_objective(fig1_params, kernel, sig, grid,
-                                nystrom_rule(fig1_params, kernel, sig, grid),
-                                n_paths=300, seed=17)
-        bench = mc_objective(fig1_params, kernel, sig, grid,
-                             twap_rule(fig1_params, grid), n_paths=300, seed=17)
+        paths = simulate_signal(sig, grid, 17, n_paths=300)
+        adaptive = mc_objective(fig1_params, kernel, grid,
+                                nystrom_rule(fig1_params, kernel, sig, grid), paths)
+        bench = mc_objective(fig1_params, kernel, grid, twap_rule(fig1_params, grid), paths)
         diff = adaptive.samples - bench.samples
         sem = diff.std(ddof=1) / np.sqrt(diff.shape[0])
         assert diff.mean() >= -2.0 * sem
@@ -413,13 +413,15 @@ class TestPerturbation:
         assert v[8] == pytest.approx(0.5)
 
     def test_zero_bump_changes_nothing(self, fig1_params):
-        grid = TimeGrid.uniform(10, 32)
+        # at n = 32 and at the minimum grid, n = 2
         sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
-        report = perturbation_test(fig1_params, ExponentialKernel(1, 0.5), sig, grid,
-                                   n_paths=20, n_perturbations=3, seed=1,
-                                   eps_rels=(0.0,))
-        assert report.passed
-        assert all(r.mean_diff == 0.0 for r in report.rows)
+        for n in (32, 2):
+            grid = TimeGrid.uniform(10, n)
+            report = perturbation_test(fig1_params, ExponentialKernel(1, 0.5), sig, grid,
+                                       n_paths=20, n_perturbations=3, seed=1,
+                                       eps_rels=(0.0,))
+            assert report.passed
+            assert all(r.mean_diff == 0.0 for r in report.rows)
 
     def test_deterministic_signal_diffs_nonpositive(self, fig1_params):
         grid = TimeGrid.uniform(10, 64)
@@ -519,6 +521,37 @@ class TestPerturbation:
             perturbation_test(fig1_params, ExponentialKernel(1, 0.5),
                               OUSignal(I0=2.0, gamma=0.3, sigma=0.5), grid,
                               n_paths=n_paths, n_perturbations=2)
+
+    @pytest.mark.parametrize("n_perturbations", [2.5, 3.0, float("nan"), True, "3"], ids=repr)
+    def test_rejects_a_perturbation_count_that_is_no_integer(self, fig1_params, monkeypatch,
+                                                              n_perturbations):
+        # 2.5 used to raise TypeError from range, nan ValueError, and True
+        # ran one direction
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated paths for an invalid perturbation count")
+
+        monkeypatch.setattr(oracle_mod, "simulate_signal", unreachable)
+        monkeypatch.setattr(oracle_mod, "NystromEngine", unreachable)
+        grid = TimeGrid.uniform(10, 16)
+        with pytest.raises(InputError, match="n_perturbations must be an integer >= 1"):
+            perturbation_test(fig1_params, ExponentialKernel(1, 0.5),
+                              OUSignal(I0=2.0, gamma=0.3, sigma=0.5), grid,
+                              n_paths=4, n_perturbations=n_perturbations)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=repr)
+    def test_rejects_a_perturbation_size_that_is_not_finite(self, fig1_params, monkeypatch,
+                                                             bad):
+        # a nan used to surface as a NumericError saying the strategy overflows
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated paths for an invalid perturbation size")
+
+        monkeypatch.setattr(oracle_mod, "simulate_signal", unreachable)
+        monkeypatch.setattr(oracle_mod, "NystromEngine", unreachable)
+        grid = TimeGrid.uniform(10, 16)
+        with pytest.raises(InputError, match="eps_rels must be some finite numbers"):
+            perturbation_test(fig1_params, ExponentialKernel(1, 0.5),
+                              OUSignal(I0=2.0, gamma=0.3, sigma=0.5), grid,
+                              n_paths=4, n_perturbations=2, eps_rels=(0.05, bad))
 
     @pytest.mark.parametrize("seed", [True, False])
     def test_rejects_a_bool_seed(self, fig1_params, monkeypatch, seed):
