@@ -15,7 +15,10 @@ Config files are flat ``key = value`` text with section prefixes::
 Unknown keys are rejected, and so is a key the run does not read: a kernel
 or signal key that the configured type does not read (a compare run
 accepts the kernel keys of every kernel it compares), a key of another
-mode's section, and scenario.h0 next to scenario.h0_csv. Scenario
+mode's section, scenario.h0 next to scenario.h0_csv, kernel.type in a
+compare run and the swept key in a sweep, which each point replaces. The
+config and every CSV it names are read as UTF-8, and a leading byte-order
+mark is dropped. Scenario
 defaults are q=10, T=10, lambda=0.5, varrho=4, phi=0, h0=0 with a zero
 kernel and no signal. Command-line flags override keys without editing
 the text, and every point of a sweep or compare run is built while
@@ -171,13 +174,19 @@ def _get(kv, key, number=float):
         raise ConfigError(f"{where}: key {key!r} needs {need}, got {value!r}") from None
 
 
+def _read_text(path: Path) -> str:
+    """The text of a file that the run reads, the config or a CSV: UTF-8,
+    with a leading byte-order mark dropped."""
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def _read_grid_csv(kv, key: str, base_dir: Path, n: int) -> np.ndarray:
     """The vector in the CSV file named by ``key``: one value per grid point."""
     path = _resolve(base_dir, kv[key][0])
-    try:
-        raw = path.read_text().strip().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    raw = _read_text(path).strip().splitlines()
     rows = [line.split(",")[0].strip() for line in raw if line.strip()]
     try:
         float(rows[0])
@@ -194,9 +203,7 @@ def _read_grid_csv(kv, key: str, base_dir: Path, n: int) -> np.ndarray:
 
 def _read_matrix_csv(path: Path) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+        return np.loadtxt(_read_text(path).splitlines(), delimiter=",")
     except ValueError as exc:
         raise ConfigError(f"cannot parse matrix from {path}: {exc}") from exc
 
@@ -256,11 +263,13 @@ def _model_keys(section: str, kind: str) -> list[str]:
     return [f"{section}.{field.name}" for field in fields(_MODELS[section][kind])]
 
 
-def _reject_unread_keys(kv, prefixes: str | tuple[str, ...], read: set[str], reader: str):
-    """Reject a key set in the config that starts with ``prefixes`` but is
-    not in ``read``, the keys that ``reader`` reads."""
+def _reject_unread_keys(kv, scope: tuple[str, ...], read: set[str], reader: str):
+    """Reject a key set in the config that lies in ``scope`` but is not in
+    ``read``, the keys that ``reader`` reads. ``scope`` holds sections,
+    such as "kernel.", and whole keys, which match exactly."""
     for key, (_, where) in kv.items():
-        if key.startswith(prefixes) and where != "default" and key not in read:
+        in_scope = key in scope or key.split(".", 1)[0] + "." in scope
+        if in_scope and where != "default" and key not in read:
             raise ConfigError(f"{where}: key {key!r} is not read by {reader}")
 
 
@@ -292,19 +301,27 @@ def _build_models(kv, base_dir: Path, n: int):
     return scenario, kernel, signal
 
 
+def _check_sweep_param(kv):
+    """Require the key that a sweep varies to be a scenario key or a key
+    that the configured kernel or signal reads, and to be unset: each point
+    replaces it."""
+    if "sweep.param" not in kv or "sweep.values" not in kv:
+        raise ConfigError("mode = sweep requires sweep.param and sweep.values")
+    param = kv["sweep.param"][0]
+    sweepable = [*_SWEPT_SCENARIO_KEYS, *_model_keys("kernel", kv["kernel.type"][0]),
+                 *_model_keys("signal", kv["signal.type"][0])]
+    if param not in sweepable:
+        raise ConfigError(
+            f"sweep.param {param!r} is not sweepable; choose one of "
+            f"{', '.join(sorted(sweepable))}"
+        )
+    _reject_unread_keys(kv, (param,), set(), f"a sweep over {param}")
+
+
 def _build_cases(kv, base_dir: Path, n: int, mode: str) -> tuple[RunCase, ...]:
     """Every solve of a sweep or compare run: the config with one key replaced."""
     if mode == "sweep":
-        if "sweep.param" not in kv or "sweep.values" not in kv:
-            raise ConfigError("mode = sweep requires sweep.param and sweep.values")
         param = kv["sweep.param"][0]
-        sweepable = [*_SWEPT_SCENARIO_KEYS, *_model_keys("kernel", kv["kernel.type"][0]),
-                     *_model_keys("signal", kv["signal.type"][0])]
-        if param not in sweepable:
-            raise ConfigError(
-                f"sweep.param {param!r} is not sweepable; choose one of "
-                f"{', '.join(sorted(sweepable))}"
-            )
         try:
             values = [float(v) for v in kv["sweep.values"][0].split(",")]
         except ValueError as exc:
@@ -352,12 +369,16 @@ def parse_config(text: str, base_dir: Path | str = ".",
     mode = kv["mode"][0]
     if mode not in _MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {', '.join(_MODES)}")
-    # a mode reads the keys of its own section only, and h0_csv replaces h0
-    _reject_unread_keys(kv, tuple(f"{other}." for other in _MODES if other != mode), set(),
-                        f"mode {mode}")
+    # a mode reads the keys of its own section only, compare sets each
+    # point's kernel.type itself, and h0_csv replaces h0
+    unread = tuple(f"{other}." for other in _MODES if other != mode)
+    if mode == "compare":
+        unread += ("kernel.type",)
+    _reject_unread_keys(kv, unread, set(), f"mode {mode}")
     if "scenario.h0_csv" in kv:
-        _reject_unread_keys(kv, "scenario.h0", {"scenario.h0_csv"},
-                            "a scenario that sets scenario.h0_csv")
+        _reject_unread_keys(kv, ("scenario.h0",), set(), "a scenario that sets scenario.h0_csv")
+    if mode == "sweep":
+        _check_sweep_param(kv)
 
     n = _get(kv, "grid.n", int)
     if n < 2:
@@ -393,7 +414,7 @@ def parse_config(text: str, base_dir: Path | str = ".",
         for kind in kinds:
             read.update(_TABULATED_KEYS[section] if kind == "tabulated"
                         else _model_keys(section, kind))
-        _reject_unread_keys(kv, f"{section}.", read, f"{section}.type {' or '.join(kinds)}")
+        _reject_unread_keys(kv, (f"{section}.",), read, f"{section}.type {' or '.join(kinds)}")
     # the grid solver needs forecasts and a concave objective; an mc run
     # whose rules do not solve merely replays the path
     if mode != "mc" or any(_STRATEGIES[s][0] for s in cfg.mc_strategies):
@@ -427,11 +448,7 @@ def _require_concave(case, kind: str, grid: TimeGrid, where: str):
 
 def load_config(path: Path | str, overrides: dict[str, str] | None = None) -> RunConfig:
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text, base_dir=path.parent, overrides=overrides)
+    return parse_config(_read_text(path), base_dir=path.parent, overrides=overrides)
 
 
 # ---------------------------------------------------------------------------

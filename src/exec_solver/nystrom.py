@@ -28,8 +28,8 @@ substitution:
        so one O(n^2) pass per scenario builds c next to the h~ part and a
        path's source costs O(n), with no forecast matrix, and a batch of
        paths one elementwise product; a tabulated signal's user forecast
-       does not depend on the path, yet each source call takes it through
-       ``forecast_matrix`` and contracts it with the rows again, O(n^2),
+       does not depend on the path, so the engine contracts it with the
+       rows once, into the path-free part of every source, and its c is 0,
     4. u = (I - B)^{-1} a by blocked forward substitution, O(n^2): the
        unit lower-triangular diagonal blocks of I - B are inverted once,
        so each block of u costs one product with the rows before it and
@@ -229,19 +229,20 @@ class NystromEngine:
     Builds once, in O(n^2) time, the rows f_m and I - B packed in ``rows``
     (from ``response_rows``), the inverses of the diagonal blocks of I - B
     in ``block_inverses`` and the signal-free offset -f_m . h~[i:n] of the
-    source vector, -h~_n / (2*lam) at i = n. For OU and zero signals the
-    forecasts N[k, i] = s_k * e_{k-i} * I_i make the source affine in the
-    path, a = I * c + offset, and the same blocked pass builds
-    c_i = f_m . (s * e_{.-i})[i:n], with c_n = 0 (s_n = 0), and c = 0 for a
-    zero signal; ``c`` is None for a tabulated signal, whose user forecast
-    goes through ``source_vector``. A realized path then costs its source
-    and one blocked forward substitution: O(n) and O(n^2) work; a batch of
-    paths (``speeds_for_paths``) takes its affine sources and matrix
-    products in place of matrix-vector products. The Monte Carlo rule
-    ``speed_for_path`` still builds each path's forecast matrix, one
-    scaling of a cached path-free base, contracts it with the rows and
-    substitutes once: at n = 200 on one BLAS thread about 75 us of CPU time
-    a path, about 20 us of it the forecast matrix.
+    source vector, -h~_n / (2*lam) at i = n. Every source is affine in the
+    path, a = I * c + base. For OU and zero signals base is the offset,
+    and the OU forecasts N[k, i] = s_k * e_{k-i} * I_i give
+    c_i = f_m . (s * e_{.-i})[i:n], with c_n = 0 (s_n = 0), built in the
+    same blocked pass; c = 0 for a zero signal. A tabulated signal's user
+    forecast does not depend on the path: c = 0, and base is the
+    ``source_vector`` of that forecast, contracted once here. A realized
+    path then costs its source and one blocked forward substitution: O(n)
+    and O(n^2) work; a batch of paths (``speeds_for_paths``) takes its
+    affine sources and matrix products in place of matrix-vector products.
+    The Monte Carlo rule ``speed_for_path`` still builds each path's
+    forecast matrix, one scaling of a cached path-free base, contracts it
+    with the rows and substitutes once: at n = 200 on one BLAS thread about
+    75 us of CPU time a path, about 20 us of it the forecast matrix.
 
     A signal the engine cannot source fails the build, before any row is
     computed: a tabulated signal with no forecast matrix raises
@@ -257,9 +258,10 @@ class NystromEngine:
     @np.errstate(all="ignore")
     def __init__(self, params: ScenarioParams, kernel: PropagatorKernel,
                  grid: TimeGrid, signal: SignalModel):
+        forecast = None
         if isinstance(signal, TabulatedSignal):
-            # the checks of the forecast that every source of this signal reads
-            forecast_matrix(signal, signal.values, grid)
+            # checked here, before any row is built
+            forecast = forecast_matrix(signal, signal.values, grid)
         elif not isinstance(signal, (OUSignal, ZeroSignal)):
             raise InputError(f"unknown signal model {type(signal).__name__}")
         self.params = params
@@ -271,7 +273,7 @@ class NystromEngine:
         n = grid.n
         h_tilde = params.h0_values(grid) - 2.0 * params.varrho * params.q
         self.offset = np.empty(n + 1)
-        self.c = np.zeros(n + 1) if isinstance(signal, (OUSignal, ZeroSignal)) else None
+        self.c = np.zeros(n + 1)
         ou = isinstance(signal, OUSignal)
         if ou:
             decay, scale = ou_forecast_factors(signal.gamma, grid)
@@ -286,35 +288,29 @@ class NystromEngine:
                 win = toeplitz_view(np.zeros(r1 - r0), decay[:n - r0])
                 self.c[r0:r1] = np.einsum("ik,ik,k->i", block, win, scale[r0:n])
         self.offset[-1] = -h_tilde[-1] / (2.0 * params.lam)
+        self.base = self.offset if forecast is None else self.source_vector(forecast)
 
     @np.errstate(all="ignore")
     def source_for_path(self, signal_path: np.ndarray) -> np.ndarray:
-        """Source vector of one realized path, (n+1,), or of a batch, (paths, n+1).
-
-        For OU and zero signals it is I * c + offset, path by path. A
-        tabulated signal's user forecast is not affine in the path, nor does
-        it depend on it: its source is the one ``source_vector`` of that
-        forecast, broadcast (read-only) to the shape of ``signal_path``.
-        """
+        """Source vector of one realized path, (n+1,), or of a batch, (paths, n+1):
+        I * c + base, path by path, for every signal type."""
         path = np.asarray(signal_path, dtype=float)
         size = self.offset.shape[0]
         if path.ndim not in (1, 2) or path.shape[-1] != size:
             raise InputError(f"signal path has shape {path.shape}, expected "
                              f"({size},) or (paths, {size})")
-        if self.c is None:
-            forecast = forecast_matrix(self.signal, self.signal.values, self.grid)
-            return np.broadcast_to(self.source_vector(forecast), path.shape)
-        return _finite_source(path * self.c + self.offset)
+        return _finite_source(path * self.c + self.base)
 
     @np.errstate(all="ignore")
     def source_vector(self, forecasts: np.ndarray) -> np.ndarray:
         """a_i = f_m . N[i:n, i], and N[n, n] / (2*lam) at i = n, plus the offset.
 
-        The source of a tabulated signal's user forecast and, per path, of
-        the Monte Carlo rule; for OU and zero signals, the reference that
-        ``source_for_path`` is tested against. N must be zero above the
-        diagonal, as ``forecast_matrix`` guarantees: the contraction runs
-        over whole rows of ``rows``, I - B part included.
+        The path-free source of a tabulated signal's user forecast, built
+        once per engine, and, per path, the source of the Monte Carlo rule;
+        for OU and zero signals, the reference that ``source_for_path`` is
+        tested against. N must be zero above the diagonal, as
+        ``forecast_matrix`` guarantees: the contraction runs over whole rows
+        of ``rows``, I - B part included.
         """
         n = self.grid.n
         forecasts = np.asarray(forecasts, dtype=float)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate as si
 import scipy.linalg as sl
 
-from exec_solver import ExponentialKernel, FractionalKernel, ScenarioParams, TimeGrid
+from exec_solver import (ExponentialKernel, FractionalKernel, ScenarioParams, TimeGrid,
+                         assemble_qp, integrated_increments)
 
 
 def gram_definiteness(kernel, grid):
@@ -29,6 +32,38 @@ def gram_definiteness(kernel, grid):
     row[0] *= 2.0
     eigs = np.linalg.eigvalsh(sl.toeplitz(row))
     return bool(eigs[0] >= -1e-8 * np.max(np.abs(eigs))), float(eigs[0])
+
+
+def expected_ou_objective(params, kernel, grid, signal, rule):
+    """E[J] of a strategy rule under an OU signal with gamma > 0, exact to
+    rounding when J is quadratic in the signal's normals, as it is for a
+    rule affine in the path.
+
+    The grid path is I = m + xi K, xi standard normal, by the exact
+    one-step transition written out here: m_k = I0 * phi^k and
+    K[r, k] = sigma_dt * phi^(k-1-r) for k > r, with phi = exp(-gamma dt)
+    and sigma_dt^2 = sigma^2 (1 - exp(-2 gamma dt)) / (2 gamma). For a
+    quadratic J, E[J] = J(m) + 1/2 sum_r [J(m + K_r) + J(m - K_r) - 2 J(m)],
+    over 2n+1 deterministic paths. Each J is the QP oracle's value of the
+    rule's speeds at the prices P_k = dt * sum_{j<k} I_j.
+    """
+    n, dt, gamma = grid.n, grid.dt, signal.gamma
+    phi = math.exp(-gamma * dt)
+    sigma_dt = signal.sigma * math.sqrt(-math.expm1(-2.0 * gamma * dt) / (2.0 * gamma))
+    k = np.arange(n + 1)
+    mean = signal.I0 * phi ** k
+    K = np.zeros((n, n + 1))
+    for r in range(n):
+        K[r, r + 1:] = sigma_dt * phi ** (k[r + 1:] - 1 - r)
+    inc = integrated_increments(kernel, params, grid)
+
+    def objective(path):
+        price = np.array([dt * path[:j].sum() for j in range(n + 1)])
+        return assemble_qp(params, inc, grid, price).value(rule(path))
+
+    center = objective(mean)
+    return center + 0.5 * sum(objective(mean + K[r]) + objective(mean - K[r]) - 2.0 * center
+                              for r in range(n))
 
 
 def dense_curvature(inc, params, grid, i):

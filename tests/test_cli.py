@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from exec_solver import ConfigError, NumericError, ScenarioParams, TimeGrid
+from exec_solver import ConfigError, NumericError, TimeGrid
 import exec_solver.cli as cli_mod
 import exec_solver.nystrom as nystrom_mod
 import exec_solver.oracle as oracle_mod
@@ -505,6 +505,24 @@ def tabulated_signal_config(tmp_path, mode, extra=""):
     return cfg
 
 
+# the shipped tabulated config and the CSVs it reads, in the order it reads them
+TABULATED_FILES = ["tabulated.cfg", "tabulated/h0.csv", "tabulated/kernel.csv",
+                   "tabulated/signal.csv", "tabulated/forecast.csv"]
+
+
+def tabulated_copy(tmp_path, name, prefix):
+    """The shipped tabulated config and its CSVs, copied into ``tmp_path``:
+    the grid CSVs without their header rows, and the file ``name`` preceded
+    by the bytes ``prefix``."""
+    for rel in TABULATED_FILES:
+        data = (CONFIG_DIR / rel).read_bytes()
+        if rel.endswith(("h0.csv", "kernel.csv", "signal.csv")):
+            data = data.split(b"\n", 1)[1]
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_bytes((prefix if rel == name else b"") + data)
+    return tmp_path / "tabulated.cfg"
+
+
 def solve_cfg_with(tmp_path, mode, keys):
     """SOLVE_CFG in ``mode`` with each key of ``keys`` set to its value, and
     mc.n_paths = 4 in mc; a new kernel.type drops the keys of SOLVE_CFG's
@@ -556,7 +574,10 @@ class TestMain:
 
     def test_nonconcave_sweep_point_exits_2_before_any_output(self, tmp_path, capsys):
         extra = "sweep.param = scenario.lambda\nsweep.values = 0.5, 0.05"
-        assert main(["--config", str(nonconcave_kernel_config(tmp_path, 0.5, "sweep", extra))]) == 2
+        cfg = nonconcave_kernel_config(tmp_path, 0.5, "sweep", extra)
+        # each point replaces the swept key, which the config leaves at its default
+        cfg.write_text(cfg.read_text().replace("scenario.lambda = 0.5\n", ""))
+        assert main(["--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "sweep point 0.05" in err and "not strictly concave" in err
         assert not (tmp_path / "o").exists()
@@ -688,8 +709,23 @@ class TestMain:
          "line 4: key 'compare.kernels' is not read by mode mc"),
         ("solve", "grid.n = 8\nscenario.h0 = 5\nscenario.h0_csv = h0.csv",
          "line 4: key 'scenario.h0' is not read by a scenario that sets scenario.h0_csv"),
+        # each compare point sets kernel.type, and each sweep point the swept
+        # key, so the config's own value is never read, even one that no
+        # model accepts
+        ("compare", "grid.n = 64\ncompare.kernels = zero, fractional\nkernel.type = exponential",
+         "line 5: key 'kernel.type' is not read by mode compare"),
+        ("compare", "grid.n = 64\ncompare.kernels = zero, fractional\n"
+                    "kernel.type = exponential\nkernel.rho = -1",
+         "line 5: key 'kernel.type' is not read by mode compare"),
+        ("sweep", "kernel.type = bounded_power_law\nsweep.param = kernel.beta\n"
+                  "sweep.values = 0.5, 1\nkernel.beta = 2",
+         "line 6: key 'kernel.beta' is not read by a sweep over kernel.beta"),
+        ("sweep", "kernel.type = bounded_power_law\nsweep.param = kernel.beta\n"
+                  "sweep.values = 0.5, 1\nkernel.beta = -2",
+         "line 6: key 'kernel.beta' is not read by a sweep over kernel.beta"),
     ], ids=["solve-sweep", "solve-compare", "solve-mc", "sweep-mc", "compare-sweep",
-            "mc-compare", "h0-and-h0-csv"])
+            "mc-compare", "h0-and-h0-csv", "compare-kernel-type",
+            "compare-kernel-type-infeasible", "sweep-swept-key", "sweep-swept-key-infeasible"])
     def test_key_the_run_does_not_read_exits_2(self, tmp_path, capsys, mode, keys, unread):
         # such a key used to be ignored: the run exited 0 with the key unused
         (tmp_path / "h0.csv").write_text("0.5\n" * 9)
@@ -699,9 +735,78 @@ class TestMain:
         assert capsys.readouterr().err == f"config error: {unread}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_swept_key_matches_exactly(self, tmp_path):
+        # kernel.c is a prefix of kernel.csv, which a sweep over kernel.c
+        # leaves to the kernel type's own check
+        cfg = parse_config("mode = sweep\noutput_dir = out\nkernel.type = exponential\n"
+                           "sweep.param = kernel.c\nsweep.values = 1, 2\n")
+        assert [case.kernel.c for case in cfg.cases] == [1.0, 2.0]
+        with pytest.raises(ConfigError, match="line 6: key 'kernel.csv' is not read by "
+                                              "kernel.type exponential"):
+            parse_config("mode = sweep\noutput_dir = out\nkernel.type = exponential\n"
+                         "sweep.param = kernel.c\nsweep.values = 1, 2\nkernel.csv = h.csv\n")
+
+    @pytest.mark.parametrize("mode, keys, error", [
+        ("solve", "grid.n = 8\nbogus", "line 4: expected 'key = value', got 'bogus'"),
+        ("solve", "grid.n = 8\nseed =", "line 4: empty key or value in 'seed ='"),
+        ("solve", "grid.n = 8\n= 5", "line 4: empty key or value in '= 5'"),
+        ("solve", "grid.n = 2\nscenario.h0_csv = words.csv", "non-numeric entry in "),
+        ("solve", "grid.n = 2\nsignal.type = tabulated\nsignal.csv = ones.csv\n"
+                  "signal.forecast_csv = ragged.csv", "cannot parse matrix from "),
+        ("solve", "grid.n = 8\nkernel.type = tabulated",
+         "kernel.type = tabulated requires kernel.csv"),
+        ("solve", "grid.n = 1", "grid.n must be >= 2, got 1"),
+        ("solve", "seed = -1", "seed must be >= 0, got -1"),
+        ("sweep", "sweep.param = scenario.q\nsweep.values = 5, ten",
+         "sweep.values must be a comma list of numbers: "),
+        ("mc", "mc.n_paths = 1", "mc.n_paths must be >= 2, got 1"),
+        ("mc", "mc.n_paths = 4\nmc.strategies = nystrom, vwap",
+         "unknown mc strategy 'vwap'; expected nystrom or twap"),
+    ], ids=["no-equals", "empty-value", "empty-key", "grid-csv-word", "forecast-csv-ragged",
+            "tabulated-kernel-no-csv", "grid-n-1", "seed-negative", "sweep-values-word",
+            "mc-one-path", "mc-unknown-strategy"])
+    def test_config_fault_exits_2_before_any_output(self, tmp_path, capsys, mode, keys, error):
+        (tmp_path / "words.csv").write_text("0.5\nhalf\n0.5\n")
+        (tmp_path / "ones.csv").write_text("1\n1\n1\n")
+        (tmp_path / "ragged.csv").write_text("0,0,0\n0,0\n0,0,0\n")
+        cfg = tmp_path / "fault.cfg"
+        cfg.write_text(f"mode = {mode}\noutput_dir = {tmp_path / 'o'}\n{keys}\n")
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert error in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", TABULATED_FILES)
+    def test_input_that_is_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys, name):
+        # a byte that no UTF-8 text holds, at the start of each file in turn
+        cfg = tabulated_copy(tmp_path, name, b"\xff")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read {tmp_path / name}: 'utf-8' codec")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("name", TABULATED_FILES)
+    def test_byte_order_mark_is_ignored(self, tmp_path, name):
+        # read as text, the mark would make the config's first key unknown
+        # and a headerless grid CSV's first value a header
+        plain = tabulated_copy(tmp_path / "plain", name, b"")
+        marked = tabulated_copy(tmp_path / "marked", name, b"\xef\xbb\xbf")
+        assert main(["--config", str(plain), "--out", str(tmp_path / "a")]) == 0
+        assert main(["--config", str(marked), "--out", str(tmp_path / "b")]) == 0
+        for file in ("path.csv", "breakdown.csv"):
+            assert (tmp_path / "a" / file).read_bytes() == (tmp_path / "b" / file).read_bytes()
+
+    def test_every_input_file_is_read_once_by_one_reader(self, tmp_path, monkeypatch):
+        read, reader = [], cli_mod._read_text
+        monkeypatch.setattr(cli_mod, "_read_text", lambda path: read.append(path) or reader(path))
+        cfg = tabulated_copy(tmp_path, None, b"")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert read == [tmp_path / name for name in TABULATED_FILES]
+
     def test_compare_accepts_the_keys_of_every_compared_kernel(self):
-        # the kernel.type line is the base that each compared type replaces
-        cfg = parse_config("mode = compare\noutput_dir = out\nkernel.type = zero\n"
+        cfg = parse_config("mode = compare\noutput_dir = out\n"
                            "compare.kernels = exponential, fractional, bounded_power_law\n"
                            "kernel.c = 2\nkernel.rho = 0.7\nkernel.alpha = 0.65\n"
                            "kernel.ell0 = 1.5\nkernel.beta = 0.8\n")
@@ -887,7 +992,8 @@ class TestMain:
 
     def test_shipped_configs_parse(self):
         for name in ("figure1.cfg", "figure2.cfg", "figure4_alpha.cfg",
-                     "figure4_rho.cfg", "mc_benchmark.cfg", "solve_single.cfg"):
+                     "figure4_rho.cfg", "mc_benchmark.cfg", "solve_single.cfg",
+                     "tabulated.cfg"):
             cfg = load_config(CONFIG_DIR / name)
             assert cfg.mode in ("solve", "sweep", "compare", "mc")
 

@@ -117,6 +117,16 @@ class TestValidation:
             BoundedPowerLawKernel(ell0=-1.0, beta=1.0)
         with pytest.raises(InputError):
             TabulatedKernel(times=np.array([0.0, 1.0]), values=np.array([1.0]))
+        for c in (0.0, -1.0):
+            with pytest.raises(InputError, match="fractional kernel needs c > 0"):
+                FractionalKernel(c=c, alpha=0.75)
+        for beta in (0.0, -0.5):
+            with pytest.raises(InputError, match="bounded power-law kernel needs beta > 0"):
+                BoundedPowerLawKernel(ell0=1.0, beta=beta)
+        # a table that starts late, repeats a time or goes back
+        for times in ([0.5, 1.0, 2.0], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0]):
+            with pytest.raises(InputError, match="increasing and start at 0"):
+                TabulatedKernel(times=np.array(times), values=np.array([1.0, 0.5, 0.2]))
 
     @pytest.mark.parametrize("build", [
         lambda: ExponentialKernel(c=np.inf, rho=1.0),

@@ -44,8 +44,9 @@ class TestScenarioParams:
             ScenarioParams(q=1, T=1, lam=-0.5)
 
     def test_rejects_bad_horizon_and_penalties(self):
-        with pytest.raises(InputError):
-            ScenarioParams(q=1, T=0, lam=1)
+        for T in (0, -1):
+            with pytest.raises(InputError, match=f"horizon T must be > 0, got {T}"):
+                ScenarioParams(q=1, T=T, lam=1)
         with pytest.raises(InputError):
             ScenarioParams(q=1, T=1, lam=1, varrho=-1)
         with pytest.raises(InputError):

@@ -23,7 +23,6 @@ from exec_solver import (
     ZeroKernel,
     ZeroSignal,
     integrated_increments,
-    rollout,
     solve_scenario,
     solve_scenario_detail,
 )
@@ -501,17 +500,42 @@ class TestEngine:
         for sig in (OUSignal(I0=2.0, gamma=0.3, sigma=0.5), ZeroSignal()):
             assert np.all(np.isfinite(solve_scenario(fig1_params, frac_kernel, sig, grid).u))
 
-    def test_tabulated_forecast_goes_through_source_vector(self, fig1_params, exp_kernel, rng):
+    def test_tabulated_forecast_goes_through_source_vector(self, fig1_params, exp_kernel, rng,
+                                                          monkeypatch):
+        # the build contracts the user forecast once; every source, of one
+        # path or of a batch, is then that contraction, the source_vector of
+        # the forecast, with the signs of its zeros: with no terminal
+        # penalty, no h0 and a zero forecast every entry is +0.0
         n = 16
         grid = TimeGrid.uniform(10.0, n)
-        values = rng.normal(size=n + 1)
-        sig = TabulatedSignal(values, forecast=np.tril(rng.normal(size=(n + 1, n + 1))))
-        engine = NystromEngine(fig1_params, exp_kernel, grid, sig)
-        assert engine.c is None
-        N = forecast_matrix(sig, values, grid)
-        assert np.array_equal(engine.source_for_path(values), engine.source_vector(N))
-        detail = solve_scenario_detail(fig1_params, exp_kernel, sig, grid)
-        assert np.array_equal(detail.forecast_diag, np.diag(N))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return forecast_matrix(*args)
+
+        monkeypatch.setattr(nystrom_mod, "forecast_matrix", counted)
+        no_penalty = ScenarioParams(q=10.0, T=10.0, lam=0.5, varrho=0.0)
+        for params, forecast in [(fig1_params, rng.normal(size=(n + 1, n + 1))),
+                                 (no_penalty, np.zeros((n + 1, n + 1)))]:
+            values = rng.normal(size=n + 1)
+            sig = TabulatedSignal(values, forecast=forecast)
+            calls.clear()
+            engine = NystromEngine(params, exp_kernel, grid, sig)
+            assert len(calls) == 1 and np.all(engine.c == 0.0)
+            N = forecast_matrix(sig, values, grid)
+            want = engine.source_vector(N)
+            if params is no_penalty:
+                assert not np.any(want) and not np.signbit(want).any()
+            for path in (values, -values, np.vstack([values, -values, np.zeros(n + 1)])):
+                a = engine.source_for_path(path)
+                ref = np.broadcast_to(want, path.shape)
+                assert a.shape == path.shape and a.flags.writeable
+                assert np.array_equal(a, ref) and np.array_equal(np.signbit(a), np.signbit(ref))
+            assert len(calls) == 1
+            detail = solve_scenario_detail(params, exp_kernel, sig, grid)
+            assert np.array_equal(detail.source, want)
+            assert np.array_equal(detail.forecast_diag, np.diag(N))
 
     def test_signal_that_cannot_be_sourced_fails_the_build(self, fig1_params, exp_kernel,
                                                             monkeypatch):
@@ -576,8 +600,10 @@ class TestEngine:
         grid = TimeGrid.uniform(10.0, 16)
         engine = NystromEngine(fig1_params, exp_kernel, grid, ZeroSignal())
         held = {k: v for k, v in vars(engine).items() if isinstance(v, np.ndarray)}
-        assert set(held) == {"rows", "block_inverses", "offset", "c"}
+        assert set(held) == {"rows", "block_inverses", "offset", "c", "base"}
         assert held["offset"].shape == held["c"].shape == (17,) and np.all(held["c"] == 0.0)
+        # with no tabulated forecast the path-free source is the offset itself
+        assert held["base"] is held["offset"]
         rows = held["rows"]
         assert rows.shape == (17, 16) and rows.dtype == float and rows.flags.c_contiguous
         # B = -tril(F L), with row n of B equal to -L[n] / (2 lam)

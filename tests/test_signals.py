@@ -159,6 +159,11 @@ class TestSimulation:
             OUSignal(I0=1.0, gamma=-0.1, sigma=0.5)
         with pytest.raises(InputError):
             OUSignal(I0=1.0, gamma=0.1, sigma=-0.5)
+        with pytest.raises(InputError, match="must be a 1-d vector"):
+            TabulatedSignal(np.ones((3, 3)))
+        for shape in [(3, 4), (4, 4), (3,)]:
+            with pytest.raises(InputError, match=rf"forecast matrix has shape \({shape[0]},"):
+                TabulatedSignal(np.ones(3), forecast=np.zeros(shape))
 
 
 @pytest.fixture
@@ -374,6 +379,12 @@ class TestPricePath:
             want = np.concatenate([np.zeros(values.shape[:-1] + (1,)), acc], axis=-1)
             got = price_path(values, grid)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_wrong_width_rejected(self):
+        grid = TimeGrid.uniform(4.0, 8)
+        for values in (np.ones(8), np.ones(10), np.ones((3, 8))):
+            with pytest.raises(InputError, match=f"{values.shape[-1]} points, grid needs 9"):
+                price_path(values, grid)
 
     def test_batch_matches_single(self, rng):
         grid = TimeGrid.uniform(4.0, 8)
