@@ -202,8 +202,12 @@ def _read_grid_csv(kv, key: str, base_dir: Path, n: int) -> np.ndarray:
 
 
 def _read_matrix_csv(path: Path) -> np.ndarray:
+    lines = _read_text(path).splitlines()
+    # np.loadtxt only warns on a file with no data row; '#' starts a comment
+    if not any(line.split("#", 1)[0].strip() for line in lines):
+        raise ConfigError(f"cannot parse matrix from {path}: no data row")
     try:
-        return np.loadtxt(_read_text(path).splitlines(), delimiter=",")
+        return np.loadtxt(lines, delimiter=",")
     except ValueError as exc:
         raise ConfigError(f"cannot parse matrix from {path}: {exc}") from exc
 

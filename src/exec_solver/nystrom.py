@@ -36,6 +36,22 @@ substitution:
        one with its block inverse. With an OU or zero signal, no array of a
        solve is larger than the (n+1, n) rows.
 
+Steps 2 to 4 are the engine route (``NystromEngine``): Monte Carlo and
+batch solves, and single solves of an OU signal with sigma > 0, of a
+tabulated signal or of an explicit path. A single solve that draws its own
+path from a zero signal, or from an OU signal with sigma = 0, takes a
+shorter route: its forecasts are never revised, N[k, i] = N[k, 0] for
+k >= i, so with F the upper triangle of the rows and
+A = 2*lam*I + (L + U)[:n, :n],
+
+    (I - B)[:n, :n] = F A  and  a[:n] = F w,  w = N[:n, 0] - h~[:n],
+
+and F is triangular with a nonzero diagonal, so A u[:n] = w. One pass of
+the same Schur recursion gives each a_i = f_m . w[i:n] as f_m goes by; its
+last state holds f_n = A^{-T} e_1 and b_n = A^{-T} e_n, which give A^{-1}
+by the Gohberg-Semencul formula as four convolutions. That route stores no
+rows, block inverses or forecast matrix: O(n) memory besides the output.
+
 The scheme requires a zero running inventory penalty (phi = 0); scenarios
 with phi > 0 are handled by the direct quadratic-program route in
 ``exec_solver.oracle``.
@@ -107,9 +123,9 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
     is its leading section A_m, m = n - i. On indices >= i, D_i^{-T} e_i is
     f_m = A_m^{-T} e_1, the forward vector of the Levinson-Trench recursion
     on A^T (Golub & Van Loan, Matrix Computations, 4.7), run here in its
-    Schur form; the recursion also carries the backward vector
-    b_m = A_m^{-T} e_m. With g = cell + aug, L[k, j] = g[k-1-j] below the
-    diagonal, so the feedback entries B[i, j] = -f_m . L[i:n, j] are
+    Schur form (``_schur_states``); the recursion also carries the backward
+    vector b_m = A_m^{-T} e_m. With g = cell + aug, L[k, j] = g[k-1-j] below
+    the diagonal, so the feedback entries B[i, j] = -f_m . L[i:n, j] are
     -cf[i-1-j], where cf[d] = f_m . g[d:d+m]; row n of I - B is g reversed
     over 2*lam.
 
@@ -135,6 +151,23 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
     column of I - B, the unit vector e_n, are implicit. Raises NumericError
     naming the step whose section is singular to working precision.
     """
+    n = grid.n
+    rows = np.empty((n + 1, n))
+    for i, state in _schur_states(inc, params, grid):
+        rows[i] = state[0, n - 1 - i:2 * n - 1 - i]
+    rows[n] = (inc.cell + inc.aug)[::-1] / (2.0 * params.lam)
+    return rows
+
+
+def _schur_states(inc: IntegratedIncrements, params: ScenarioParams, grid: TimeGrid):
+    """The Schur recursion of ``response_rows``, shared by both solve routes.
+
+    Yields (i, state) for m = n - i = 1..n. ``state`` is a (2, 2n-1) array,
+    the f row over the b row, whose column n-1+P holds position P; f_m and
+    b_m lie on columns n-1..n-2+m. The next step but one overwrites it, so
+    read it before then. Raises InputError for phi != 0 and NumericError
+    naming the step whose section is singular to working precision.
+    """
     if params.phi != 0.0:
         raise InputError(
             "the grid solver is stated for phi = 0; use exec_solver.oracle "
@@ -143,9 +176,6 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
     n = grid.n
     two_lam = 2.0 * params.lam
     row = inc.cell + inc.aug  # first row of A - 2*lam*I, and g above
-    rows = np.empty((n + 1, n))
-    rows[n] = row[::-1] / two_lam
-
     diag = float(two_lam + row[0])
     _check_pivot(diag, two_lam + abs(row[0]), n - 1)
     # Two ping-pong states, each (2, width) with the f row over the b row;
@@ -163,14 +193,14 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
         flat = states[k].reshape(-1)
         skew = flat[1:2 * width - 1].reshape(2, width - 1)
         skew.flags.writeable = False
-        steps.append((flat, skew, states[1 - k, :, 1:], states[1 - k, 0]))
+        steps.append((flat, skew, states[1 - k, :, 1:], states[1 - k]))
     coef = np.empty(4)
     update = coef.reshape(2, 2)
-    f = states[0, 0]
+    state = states[0]
     for m in range(1, n + 1):
         i = n - m
         if m > 1:
-            flat, skew, out, f = steps[m & 1]
+            flat, skew, out, state = steps[m & 1]
             ef = flat.item(zero + m - 1)  # Rf[m-1]
             eb = flat.item(width + zero - 1)  # cb[0]
             pivot = 1.0 - ef * eb
@@ -182,8 +212,64 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
             coef[1] = -ef * r
             coef[2] = -eb * r
             np.matmul(update, skew, out=out)
-        rows[i] = f[zero - i:zero + m]
-    return rows
+        yield i, state
+
+
+def _toeplitz_inverse_apply(f: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """A^{-1} w for a Toeplitz A of order n, from f = A^{-T} e_1 and b = A^{-T} e_n.
+
+    A Toeplitz matrix is persymmetric, J A J = A^T with J the reversal, so
+    x = J b and y = J f are the first and last columns of A^{-1}. The
+    Gohberg-Semencul formula (Heinig & Rost, Algebraic Methods for
+    Toeplitz-like Matrices, 1984) writes the inverse through them:
+
+        A^{-1} = (L(x) U(J y) - L(Z y) U(Z J x)) / x_0,
+
+    where L(v) is lower-triangular Toeplitz with first column v,
+    U(v) = L(v)^T and Z is the down-shift. L(v) r is the leading n entries
+    of the convolution of v with r, and U(v) r = J L(v) J r: four
+    convolutions, O(n^2) work in O(n) memory.
+    """
+    n = w.size
+
+    def lower(v, r):
+        return np.convolve(v, r)[:n]
+
+    def upper(v, r):
+        return lower(v, r[::-1])[::-1]
+
+    x = b[::-1]
+    shift_y = np.concatenate(([0.0], f[:0:-1]))  # Z y
+    shift_b = np.concatenate(([0.0], b[:-1]))  # Z J x
+    return (lower(x, upper(f, w)) - lower(shift_y, upper(shift_b, w))) / x[0]
+
+
+def _deterministic_solve(inc: IntegratedIncrements, params: ScenarioParams, grid: TimeGrid,
+                         signal: OUSignal | ZeroSignal) -> tuple[np.ndarray, np.ndarray]:
+    """Source a and speeds u of a zero signal or an OU signal with sigma = 0.
+
+    The Schur route of the module docstring: w = N[:n, 0] - h~[:n], with
+    N[k, 0] = s_k * e_k * I0 for OU; each a_i = f_m . w[i:n] is taken as
+    f_m goes by, the last state's f_n and b_n give u[:n] = A^{-1} w, and
+    row n of I - B gives u_n = a_n - (g reversed over 2*lam) . u[:n].
+    """
+    n = grid.n
+    two_lam = 2.0 * params.lam
+    h_tilde = params.h0_values(grid) - 2.0 * params.varrho * params.q
+    w = -h_tilde[:n]
+    if isinstance(signal, OUSignal):
+        decay, scale = ou_forecast_factors(signal.gamma, grid)
+        w += (scale * decay)[:n] * signal.I0
+    a = np.empty(n + 1)
+    for i, state in _schur_states(inc, params, grid):
+        a[i] = state[0, n - 1:2 * n - 1 - i] @ w[i:]
+    a[n] = -h_tilde[n] / two_lam
+    _finite_source(a)
+    f, b = state[:, n - 1:]
+    u = np.empty(n + 1)
+    u[:n] = _toeplitz_inverse_apply(f, b, w)
+    u[n] = a[n] - ((inc.cell + inc.aug)[::-1] / two_lam) @ u[:n]
+    return a, _finite_speeds(u)
 
 
 def _diagonal_block_inverses(rows: np.ndarray) -> np.ndarray:
@@ -221,6 +307,13 @@ def _finite_source(a: np.ndarray) -> np.ndarray:
         raise NumericError("non-finite source vector: the scenario overflows "
                            "double precision")
     return a
+
+
+def _finite_speeds(u: np.ndarray) -> np.ndarray:
+    if not np.isfinite(u).all():
+        raise NumericError("non-finite optimal speeds: the scenario overflows "
+                           "double precision")
+    return u
 
 
 class NystromEngine:
@@ -337,10 +430,7 @@ class NystromEngine:
             if r0:
                 rhs = rhs - u[..., :r0] @ self.rows[r0:r1, :r0].T
             np.matmul(rhs, inverse[:r1 - r0, :r1 - r0].T, out=u[..., r0:r1])
-        if not np.isfinite(u).all():
-            raise NumericError("non-finite optimal speeds: the scenario overflows "
-                               "double precision")
-        return u
+        return _finite_speeds(u)
 
     @np.errstate(all="ignore")
     def speed_for_path(self, signal_path: np.ndarray) -> np.ndarray:
@@ -381,12 +471,26 @@ def solve_scenario_detail(params: ScenarioParams, kernel: PropagatorKernel,
     returned strategy has inventory, distortion and the objective evaluated
     against the realized price path. numpy's floating-point warnings are off
     inside: an overflow raises NumericError from a finiteness check.
+
+    A path simulated from a zero signal, or from an OU signal with
+    sigma = 0, follows the model's forecasts, which are then never revised:
+    its speeds solve the one Toeplitz system A u[:n] = w of the module
+    docstring, in one Schur pass and a Gohberg-Semencul apply, with O(n)
+    memory. Every other input builds a ``NystromEngine``: an explicit path
+    need not follow the forecasts, so its plan may be revised.
     """
-    engine = NystromEngine(params, kernel, grid, signal)
-    if signal_path is None:
+    if signal_path is None and (isinstance(signal, ZeroSignal)
+                                or isinstance(signal, OUSignal) and signal.sigma == 0.0):
+        a, u = _deterministic_solve(integrated_increments(kernel, params, grid),
+                                    params, grid, signal)
         signal_path = simulate_signal(signal, grid, seed)
-    a = engine.source_for_path(signal_path)
-    strat = rollout(engine._speeds(a), params, grid, kernel, signal_values=signal_path)
+    else:
+        engine = NystromEngine(params, kernel, grid, signal)
+        if signal_path is None:
+            signal_path = simulate_signal(signal, grid, seed)
+        a = engine.source_for_path(signal_path)
+        u = engine._speeds(a)
+    strat = rollout(u, params, grid, kernel, signal_values=signal_path)
     breakdown = evaluate_objective(strat, params, grid, price_path(signal_path, grid))
     return ScenarioSolution(path=replace(strat, objective=breakdown), source=a,
                             forecast_diag=forecast_diagonal(signal, signal_path, grid))

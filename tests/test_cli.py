@@ -753,6 +753,10 @@ class TestMain:
         ("solve", "grid.n = 2\nscenario.h0_csv = words.csv", "non-numeric entry in "),
         ("solve", "grid.n = 2\nsignal.type = tabulated\nsignal.csv = ones.csv\n"
                   "signal.forecast_csv = ragged.csv", "cannot parse matrix from "),
+        ("solve", "grid.n = 2\nsignal.type = tabulated\nsignal.csv = ones.csv\n"
+                  "signal.forecast_csv = empty.csv", "empty.csv: no data row"),
+        ("solve", "grid.n = 2\nsignal.type = tabulated\nsignal.csv = ones.csv\n"
+                  "signal.forecast_csv = comments.csv", "comments.csv: no data row"),
         ("solve", "grid.n = 8\nkernel.type = tabulated",
          "kernel.type = tabulated requires kernel.csv"),
         ("solve", "grid.n = 1", "grid.n must be >= 2, got 1"),
@@ -763,12 +767,16 @@ class TestMain:
         ("mc", "mc.n_paths = 4\nmc.strategies = nystrom, vwap",
          "unknown mc strategy 'vwap'; expected nystrom or twap"),
     ], ids=["no-equals", "empty-value", "empty-key", "grid-csv-word", "forecast-csv-ragged",
-            "tabulated-kernel-no-csv", "grid-n-1", "seed-negative", "sweep-values-word",
-            "mc-one-path", "mc-unknown-strategy"])
+            "forecast-csv-empty", "forecast-csv-comments", "tabulated-kernel-no-csv",
+            "grid-n-1", "seed-negative", "sweep-values-word", "mc-one-path",
+            "mc-unknown-strategy"])
     def test_config_fault_exits_2_before_any_output(self, tmp_path, capsys, mode, keys, error):
         (tmp_path / "words.csv").write_text("0.5\nhalf\n0.5\n")
         (tmp_path / "ones.csv").write_text("1\n1\n1\n")
         (tmp_path / "ragged.csv").write_text("0,0,0\n0,0\n0,0,0\n")
+        # no data row: np.loadtxt would only warn, and read an empty array
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "comments.csv").write_text("# forecasts\n\n# none yet\n")
         cfg = tmp_path / "fault.cfg"
         cfg.write_text(f"mode = {mode}\noutput_dir = {tmp_path / 'o'}\n{keys}\n")
         assert main(["--config", str(cfg)]) == 2

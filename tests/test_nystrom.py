@@ -30,6 +30,7 @@ import exec_solver.nystrom as nystrom_mod
 import exec_solver.signals as signals_mod
 from conftest import dense_curvature, direct_loop_curvature
 from exec_solver.nystrom import response_rows
+from exec_solver.model import toeplitz_view
 from exec_solver.signals import forecast_matrix, simulate_signal
 
 
@@ -680,6 +681,157 @@ class TestEngine:
                 NystromEngine(params, ZeroKernel(), grid, sig)
             else:
                 solve_scenario_detail(params, ZeroKernel(), sig, grid)
+
+
+def route_kernels(grid):
+    """Every closed-form kernel and a tabulated one, on ``grid``."""
+    values = 0.8 * np.exp(-0.4 * grid.t) + 0.3 * np.exp(-3.0 * grid.t)
+    return [ZeroKernel(), ExponentialKernel(1.0, 0.5), FractionalKernel(1.0, 0.55),
+            BoundedPowerLawKernel(1.0, 0.6), TabulatedKernel.from_grid_values(grid, values)]
+
+
+DETERMINISTIC_SIGNALS = [ZeroSignal()] + [OUSignal(I0=2.0, gamma=gamma, sigma=0.0)
+                                          for gamma in (0.0, 1e-13, 0.3, 80.0)]
+
+
+def engine_solve(params, kernel, grid, sig, path):
+    """Source and speeds of the engine route, composed as the solver composes them."""
+    engine = NystromEngine(params, kernel, grid, sig)
+    a = engine.source_for_path(path)
+    return a, engine._speeds(a)
+
+
+class TestDeterministicRoute:
+    """A zero signal, or OU with sigma = 0, solves A u[:n] = w in one Schur pass."""
+
+    def test_system_is_rows_times_toeplitz(self, fig1_params, frac_kernel):
+        # (I - B)[:n, :n] = F A, the identity that the route rests on
+        n = 40
+        grid = TimeGrid.uniform(10.0, n)
+        inc = integrated_increments(frac_kernel, fig1_params, grid)
+        F, system = split_rows(response_rows(inc, fig1_params, grid))
+        A = dense_curvature(inc, fig1_params, grid, 0)
+        assert np.max(np.abs(F[:n] @ A - system[:n, :n])) <= 1e-14 * np.max(np.abs(A))
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 129, 1000])
+    def test_matches_engine_route(self, n):
+        # an explicit path takes the engine route; without one, a
+        # deterministic signal takes the Schur route, and the two agree to
+        # rounding. At gamma = 80 the forecasts underflow
+        params = ScenarioParams(q=10.0, T=10.0, lam=0.5, varrho=4.0, h0=0.3)
+        grid = TimeGrid.uniform(10.0, n)
+        for kernel in route_kernels(grid):
+            for sig in DETERMINISTIC_SIGNALS:
+                path = simulate_signal(sig, grid, seed=3)
+                a, u = engine_solve(params, kernel, grid, sig, path)
+                detail = solve_scenario_detail(params, kernel, sig, grid, seed=3)
+                assert np.array_equal(detail.path.I, path)
+                du, da = detail.path.u - u, detail.source - a
+                assert np.max(np.abs(du)) <= 1e-11 * np.max(np.abs(u)), (kernel, sig)
+                assert np.max(np.abs(da)) <= 1e-13 * np.max(np.abs(a)), (kernel, sig)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 64), varrho=st.floats(0.0, 10.0),
+           lam=st.floats(0.05, 5.0), T=st.floats(0.5, 20.0), I0=st.floats(-5.0, 5.0),
+           gamma=st.floats(0.0, 5.0), h0=st.floats(-2.0, 2.0))
+    def test_matches_dense_solve_property(self, data, n, varrho, lam, T, I0, gamma, h0):
+        # u[:n] = A^{-1} w by a dense solve, with w = N[:n, 0] - h~[:n], and
+        # u_n from row n of I - B
+        params = ScenarioParams(q=10, T=T, lam=lam, varrho=varrho, h0=h0)
+        grid = TimeGrid.uniform(T, n)
+        kernel = data.draw(admissible_kernels(grid))
+        sig = OUSignal(I0=I0, gamma=gamma, sigma=0.0)
+        inc = integrated_increments(kernel, params, grid)
+        N = forecast_matrix(sig, simulate_signal(sig, grid), grid)
+        h_tilde = params.h0_values(grid) - 2.0 * varrho * params.q
+        want = np.linalg.solve(dense_curvature(inc, params, grid, 0), N[:n, 0] - h_tilde[:n])
+        u = solve_scenario(params, kernel, sig, grid).u
+        assert np.max(np.abs(u[:n] - want)) <= 1e-10 * np.max(np.abs(want)), kernel
+        a_n = (N[n, n] - h_tilde[n]) / (2.0 * lam)
+        feedback = inc.L[n, :n] / (2.0 * lam)
+        scale = abs(a_n) + np.abs(feedback) @ np.abs(want)
+        assert abs(u[n] - (a_n - feedback @ want)) <= 1e-10 * scale, kernel
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 100])
+    def test_toeplitz_inverse_apply_matches_dense_inverse(self, n, rng):
+        # random non-symmetric Toeplitz matrices, their first and last rows
+        # of the inverse from a dense inverse
+        for _ in range(5):
+            col, row = rng.normal(size=n), rng.normal(size=n)
+            col[0] = row[0] = row[0] + 2.0 * np.sign(row[0])
+            A = toeplitz_view(col, row)
+            inverse = np.linalg.inv(A)
+            w = rng.normal(size=n)
+            got = nystrom_mod._toeplitz_inverse_apply(inverse[0], inverse[-1], w)
+            want = inverse @ w
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want)) * np.linalg.cond(A)
+
+    def test_builds_no_engine_rows_or_forecast_matrix(self, monkeypatch, fig1_params,
+                                                      frac_kernel):
+        def refuse(*args):
+            raise AssertionError("engine route taken")
+
+        for name in ("NystromEngine", "response_rows", "_diagonal_block_inverses",
+                     "forecast_matrix"):
+            monkeypatch.setattr(nystrom_mod, name, refuse)
+        monkeypatch.setattr(signals_mod, "forecast_matrix", refuse)
+        grid = TimeGrid.uniform(10.0, 200)
+        for sig in DETERMINISTIC_SIGNALS:
+            assert np.all(np.isfinite(solve_scenario(fig1_params, frac_kernel, sig, grid).u))
+
+    def test_other_inputs_keep_the_engine_route(self, fig1_params, frac_kernel, rng):
+        # OU with sigma > 0, a tabulated signal, and any explicit path: the
+        # speeds and source of the engine, bit for bit
+        n = 150
+        grid = TimeGrid.uniform(10.0, n)
+        forecast = np.tril(rng.normal(size=(n + 1, n + 1)))
+        tabulated = TabulatedSignal(rng.normal(size=n + 1), forecast=forecast)
+        cases = [(OUSignal(I0=2.0, gamma=0.3, sigma=0.5), None), (tabulated, None),
+                 (OUSignal(I0=2.0, gamma=0.3, sigma=0.0), rng.normal(size=n + 1)),
+                 (ZeroSignal(), np.zeros(n + 1))]
+        for sig, given_path in cases:
+            path = simulate_signal(sig, grid, seed=8) if given_path is None else given_path
+            a, u = engine_solve(fig1_params, frac_kernel, grid, sig, path)
+            detail = solve_scenario_detail(fig1_params, frac_kernel, sig, grid, seed=8,
+                                           signal_path=given_path)
+            assert np.array_equal(detail.source, a) and np.array_equal(detail.path.u, u), sig
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5], ids=["schur", "engine"])
+    def test_phi_raises_the_same_input_error(self, exp_kernel, sigma):
+        params = ScenarioParams(q=10, T=10, lam=0.5, varrho=4, phi=1.0)
+        grid = TimeGrid.uniform(10, 8)
+        with pytest.raises(InputError, match="the grid solver is stated for phi = 0; use "
+                                             "exec_solver.oracle"):
+            solve_scenario(params, exp_kernel, OUSignal(I0=2.0, gamma=0.3, sigma=sigma), grid)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5], ids=["schur", "engine"])
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_singular_section_names_the_same_step(self, monkeypatch, n, sigma):
+        # the cells of TestResponse::test_singular_leading_section_names_step
+        inc = increments_from_cells([1.0, 4.0] + [0.5] * (n - 2))
+        monkeypatch.setattr(nystrom_mod, "integrated_increments", lambda *args: inc)
+        params = ScenarioParams(q=1, T=n, lam=0.5)
+        grid = TimeGrid.uniform(n, n)
+        sig = OUSignal(I0=2.0, gamma=0.3, sigma=sigma)
+        with pytest.raises(NumericError, match=f"curvature matrix at step {n - 2} is singular"):
+            solve_scenario(params, ZeroKernel(), sig, grid)
+
+    def test_overflowing_rows_raise_numeric_error(self):
+        # TestEngine's case with sigma = 0, under pytest's warnings-as-errors
+        # filter: the shared pivot check raises before any overflow warns
+        params = ScenarioParams(q=10, T=10, lam=1e-320, varrho=4)
+        grid = TimeGrid.uniform(10, 48)
+        sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.0)
+        with pytest.raises(NumericError, match="curvature matrix at step 46 is singular"):
+            solve_scenario_detail(params, ZeroKernel(), sig, grid)
+
+    def test_overflowing_source_raises_numeric_error(self):
+        # a finite scenario whose source overflows: h~ = -2 varrho q = -inf
+        params = ScenarioParams(q=1e308, T=10, lam=0.5, varrho=4)
+        grid = TimeGrid.uniform(10, 48)
+        sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.0)
+        with pytest.raises(NumericError, match="non-finite source vector"):
+            solve_scenario_detail(params, ExponentialKernel(1.0, 0.5), sig, grid)
 
 
 class TestScenario:
