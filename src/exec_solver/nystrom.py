@@ -33,24 +33,27 @@ substitution:
     4. u = (I - B)^{-1} a by blocked forward substitution, O(n^2): the
        unit lower-triangular diagonal blocks of I - B are inverted once,
        so each block of u costs one product with the rows before it and
-       one with its block inverse. With an OU or zero signal, no array of a
-       solve is larger than the (n+1, n) rows.
+       one with its block inverse. With an OU or zero signal, no array of
+       an engine is larger than the (n+1, n) rows.
 
-Steps 2 to 4 are the engine route (``NystromEngine``): Monte Carlo and
-batch solves, and single solves of an OU signal with sigma > 0, of a
-tabulated signal or of an explicit path. A single solve that draws its own
-path from a zero signal, or from an OU signal with sigma = 0, takes a
-shorter route: its forecasts are never revised, N[k, i] = N[k, 0] for
-k >= i, so with F the upper triangle of the rows and
-A = 2*lam*I + (L + U)[:n, :n],
+Steps 2 to 4 are the engine route (``NystromEngine``), which serves
+batches: the Monte Carlo rules and the perturbation test, whose paths
+share its rows and block inverses. Every single solve
+(``solve_scenario_detail``) takes the Schur route, which stores neither.
+With F the upper triangle of the rows and A = 2*lam*I + (L + U)[:n, :n],
 
-    (I - B)[:n, :n] = F A  and  a[:n] = F w,  w = N[:n, 0] - h~[:n],
+    (I - B)[:n, :n] = F A
 
-and F is triangular with a nonzero diagonal, so A u[:n] = w. One pass of
-the same Schur recursion gives each a_i = f_m . w[i:n] as f_m goes by; its
-last state holds f_n = A^{-T} e_1 and b_n = A^{-T} e_n, which give A^{-1}
-by the Gohberg-Semencul formula as four convolutions. That route stores no
-rows, block inverses or forecast matrix: O(n) memory besides the output.
+for every signal, and F is upper triangular with a nonzero diagonal, so
+u[:n] = A^{-1} y with F y = a[:n]. The Schur recursion emits f_m for
+i = n-1 down to 0, the order of back substitution: each step takes a_i
+as in step 3 and y_i = (a_i - f_m[1:] . y[i+1:n]) / f_m[0]. Its last
+state holds f_n = A^{-T} e_1 and b_n = A^{-T} e_n, which give A^{-1} by
+the Gohberg-Semencul formula as four convolutions. When the forecasts
+are never revised (a zero signal, or a drawn OU path with sigma = 0),
+N[k, i] = N[k, 0] for k >= i, so a[:n] = F w with w = N[:n, 0] - h~[:n],
+and y = w with no back substitution. The route needs O(n) memory besides
+the output and a tabulated signal's own forecast.
 
 The scheme requires a zero running inventory penalty (phi = 0); scenarios
 with phi > 0 are handled by the direct quadratic-program route in
@@ -99,10 +102,11 @@ __all__ = [
 # leading section it completes is singular to working precision
 _PIVOT_FLOOR = 1e3 * np.finfo(float).eps
 
-# rows per diagonal block of the forward substitution; a power of two, so
-# that recursive doubling halves every block evenly. At n = 200, 64 rows
-# made a one-path solve 12 us against 7.8 us, and 256 rows made the
-# inversion 0.47 ms against 0.13 ms (one BLAS thread)
+# rows per diagonal block of the forward substitution. On one BLAS thread,
+# with 64, 128 and 256 rows, the Monte Carlo rule took 63, 58 and 54 us a
+# path at n = 200 and 1.56, 1.43 and 1.60 ms at n = 1000; the LAPACK block
+# inverses took 0.43, 1.1 and 1.7 ms at n = 200 and 1.7, 4.6 and 12.9 ms
+# at n = 1000
 _BLOCK = 128
 
 
@@ -160,7 +164,7 @@ def response_rows(inc: IntegratedIncrements, params: ScenarioParams,
 
 
 def _schur_states(inc: IntegratedIncrements, params: ScenarioParams, grid: TimeGrid):
-    """The Schur recursion of ``response_rows``, shared by both solve routes.
+    """The Schur recursion of ``response_rows``, shared with the Schur route.
 
     Yields (i, state) for m = n - i = 1..n. ``state`` is a (2, 2n-1) array,
     the f row over the b row, whose column n-1+P holds position P; f_m and
@@ -244,84 +248,82 @@ def _toeplitz_inverse_apply(f: np.ndarray, b: np.ndarray, w: np.ndarray) -> np.n
     return (lower(x, upper(f, w)) - lower(shift_y, upper(shift_b, w))) / x[0]
 
 
-def _deterministic_solve(inc: IntegratedIncrements, params: ScenarioParams, grid: TimeGrid,
-                         signal: OUSignal | ZeroSignal) -> tuple[np.ndarray, np.ndarray]:
-    """Source a and speeds u of a zero signal or an OU signal with sigma = 0.
+def _schur_solve(inc: IntegratedIncrements, params: ScenarioParams, grid: TimeGrid,
+                 signal: SignalModel, path: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Source a and speeds u of one path on the Schur route of the module docstring.
 
-    The Schur route of the module docstring: w = N[:n, 0] - h~[:n], with
-    N[k, 0] = s_k * e_k * I0 for OU; each a_i = f_m . w[i:n] is taken as
-    f_m goes by, the last state's f_n and b_n give u[:n] = A^{-1} w, and
-    row n of I - B gives u_n = a_n - (g reversed over 2*lam) . u[:n].
+    ``path`` is None when the forecasts are never revised: then y = w, with
+    N[k, 0] = s_k * e_k * I0 for OU. Otherwise a_i is I_i * c_i plus the
+    offset for OU, in the engine's order, or f_m . (N[i:n, i] - h~[i:n])
+    for a tabulated forecast, and y_i comes by back substitution. The path
+    and forecast have passed ``forecast_diagonal``.
     """
     n = grid.n
     two_lam = 2.0 * params.lam
     h_tilde = params.h0_values(grid) - 2.0 * params.varrho * params.q
-    w = -h_tilde[:n]
-    if isinstance(signal, OUSignal):
+    ou = isinstance(signal, OUSignal)
+    if ou:
         decay, scale = ou_forecast_factors(signal.gamma, grid)
-        w += (scale * decay)[:n] * signal.I0
+    forecast = None if ou or path is None else forecast_matrix(signal, path, grid)
+    y = -h_tilde[:n]  # w; back substitution overwrites it from the end
+    if ou and path is None:
+        y += (scale * decay)[:n] * signal.I0
     a = np.empty(n + 1)
     for i, state in _schur_states(inc, params, grid):
-        a[i] = state[0, n - 1:2 * n - 1 - i] @ w[i:]
+        f = state[0, n - 1:2 * n - 1 - i]
+        if path is None:
+            a[i] = f @ y[i:]
+        else:
+            a[i] = (path[i] * (f @ (scale[i:n] * decay[:n - i])) - f @ h_tilde[i:n] if ou
+                    else f @ (forecast[i:n, i] - h_tilde[i:n]))
+            y[i] = (a[i] - f[1:] @ y[i + 1:]) / f[0]
     a[n] = -h_tilde[n] / two_lam
-    _finite_source(a)
+    if forecast is not None:
+        a[n] += forecast[n, n] / two_lam
+    _finite(a, "source vector")
     f, b = state[:, n - 1:]
     u = np.empty(n + 1)
-    u[:n] = _toeplitz_inverse_apply(f, b, w)
+    u[:n] = _toeplitz_inverse_apply(f, b, y)
     u[n] = a[n] - ((inc.cell + inc.aug)[::-1] / two_lam) @ u[:n]
-    return a, _finite_speeds(u)
+    return a, _finite(u, "optimal speeds")
 
 
 def _diagonal_block_inverses(rows: np.ndarray) -> np.ndarray:
     """Inverses of the diagonal blocks of I - B, packed in ``rows``.
 
-    Blocks have k = min(_BLOCK, the next power of two >= n+1) rows, and
-    the last one is padded with the identity; returns shape (blocks, k, k).
-    All blocks are inverted together by recursive doubling: with the
-    diagonal halves A and D of a 2s-block already inverted,
-    [[A, 0], [C, D]]^{-1} is the same block with C replaced by
-    -D^{-1} C A^{-1}, so each level is one batched matmul pair.
+    Blocks have k = min(_BLOCK, n+1) rows, and the last one is padded with
+    the identity; returns shape (blocks, k, k) from one batched inverse.
+    A unit lower-triangular block is singular only if its entries overflow.
     """
     size = rows.shape[0]
-    k = min(_BLOCK, 1 << (size - 1).bit_length())
+    k = min(_BLOCK, size)
     blocks = np.zeros((-(-size // k), k, k))
     for b, r0 in enumerate(range(0, size, k)):
         block = np.tril(rows[r0:r0 + k, r0:r0 + k], -1)
         blocks[b, :block.shape[0], :block.shape[1]] = block
     blocks[:, range(k), range(k)] = 1.0
-    s = 1
-    while s < k:
-        half = k // (2 * s)
-        idx = np.arange(half)
-        # pairs[:, idx, rows, idx, cols] picks from the diagonal 2s-blocks
-        pairs = blocks.reshape(len(blocks), half, 2 * s, half, 2 * s)
-        inv_a = pairs[:, idx, :s, idx, :s]
-        inv_d = pairs[:, idx, s:, idx, s:]
-        pairs[:, idx, s:, idx, :s] = -(inv_d @ pairs[:, idx, s:, idx, :s]) @ inv_a
-        s *= 2
-    return blocks
+    try:
+        return np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:
+        raise NumericError("non-finite feedback matrix: the scenario overflows "
+                           "double precision") from None
 
 
-def _finite_source(a: np.ndarray) -> np.ndarray:
-    if not np.isfinite(a).all():
-        raise NumericError("non-finite source vector: the scenario overflows "
-                           "double precision")
-    return a
-
-
-def _finite_speeds(u: np.ndarray) -> np.ndarray:
-    if not np.isfinite(u).all():
-        raise NumericError("non-finite optimal speeds: the scenario overflows "
-                           "double precision")
-    return u
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise NumericError(f"non-finite {what}: the scenario overflows double precision")
+    return x
 
 
 class NystromEngine:
-    """Signal-independent precomputation for repeated solves on one scenario.
+    """Signal-independent precomputation for batches of paths on one scenario.
 
-    Builds once, in O(n^2) time, the rows f_m and I - B packed in ``rows``
-    (from ``response_rows``), the inverses of the diagonal blocks of I - B
-    in ``block_inverses`` and the signal-free offset -f_m . h~[i:n] of the
+    The batch route: the Monte Carlo rules and the perturbation test share
+    one build over many paths, while a single solve takes the Schur route
+    of ``solve_scenario_detail``, which stores no rows. Builds once, in
+    O(n^2) time, the rows f_m and I - B packed in ``rows`` (from
+    ``response_rows``), the inverses of the diagonal blocks of I - B in
+    ``block_inverses`` and the signal-free offset -f_m . h~[i:n] of the
     source vector, -h~_n / (2*lam) at i = n. Every source is affine in the
     path, a = I * c + base. For OU and zero signals base is the offset,
     and the OU forecasts N[k, i] = s_k * e_{k-i} * I_i give
@@ -344,8 +346,8 @@ class NystromEngine:
 
     The build and every public method run with numpy's floating-point
     warnings off, so under any warning filter a section singular to working
-    precision raises the NumericError of its pivot check, and a source or
-    speed vector that overflows raises NumericError.
+    precision raises the NumericError of its pivot check, and a feedback
+    matrix, source or speed vector that overflows raises NumericError.
     """
 
     @np.errstate(all="ignore")
@@ -392,7 +394,7 @@ class NystromEngine:
         if path.ndim not in (1, 2) or path.shape[-1] != size:
             raise InputError(f"signal path has shape {path.shape}, expected "
                              f"({size},) or (paths, {size})")
-        return _finite_source(path * self.c + self.base)
+        return _finite(path * self.c + self.base, "source vector")
 
     @np.errstate(all="ignore")
     def source_vector(self, forecasts: np.ndarray) -> np.ndarray:
@@ -413,7 +415,7 @@ class NystromEngine:
             )
         a = np.einsum("ik,ki->i", self.rows, forecasts[:n, :]) + self.offset
         a[n] += forecasts[n, n] / (2.0 * self.params.lam)
-        return _finite_source(a)
+        return _finite(a, "source vector")
 
     def _speeds(self, sources: np.ndarray) -> np.ndarray:
         """u = (I - B)^{-1} a for each finite source a, shape (n+1,) or (paths, n+1).
@@ -430,7 +432,7 @@ class NystromEngine:
             if r0:
                 rhs = rhs - u[..., :r0] @ self.rows[r0:r1, :r0].T
             np.matmul(rhs, inverse[:r1 - r0, :r1 - r0].T, out=u[..., r0:r1])
-        return _finite_speeds(u)
+        return _finite(u, "optimal speeds")
 
     @np.errstate(all="ignore")
     def speed_for_path(self, signal_path: np.ndarray) -> np.ndarray:
@@ -472,28 +474,25 @@ def solve_scenario_detail(params: ScenarioParams, kernel: PropagatorKernel,
     against the realized price path. numpy's floating-point warnings are off
     inside: an overflow raises NumericError from a finiteness check.
 
-    A path simulated from a zero signal, or from an OU signal with
-    sigma = 0, follows the model's forecasts, which are then never revised:
-    its speeds solve the one Toeplitz system A u[:n] = w of the module
-    docstring, in one Schur pass and a Gohberg-Semencul apply, with O(n)
-    memory. Every other input builds a ``NystromEngine``: an explicit path
-    need not follow the forecasts, so its plan may be revised.
+    Every single solve takes the Schur route of the module docstring: one
+    Schur pass that stores no rows, then a Gohberg-Semencul apply, with
+    O(n) memory besides a tabulated forecast. A zero signal, or an OU
+    signal with sigma = 0 whose path is drawn here, has forecasts that are
+    never revised, so the pass skips the back substitution. An explicit
+    path need not follow the forecasts, so its plan may be revised. The
+    signal and path are checked (``forecast_diagonal``) before the pass.
     """
-    if signal_path is None and (isinstance(signal, ZeroSignal)
-                                or isinstance(signal, OUSignal) and signal.sigma == 0.0):
-        a, u = _deterministic_solve(integrated_increments(kernel, params, grid),
-                                    params, grid, signal)
-        signal_path = simulate_signal(signal, grid, seed)
-    else:
-        engine = NystromEngine(params, kernel, grid, signal)
-        if signal_path is None:
-            signal_path = simulate_signal(signal, grid, seed)
-        a = engine.source_for_path(signal_path)
-        u = engine._speeds(a)
-    strat = rollout(u, params, grid, kernel, signal_values=signal_path)
-    breakdown = evaluate_objective(strat, params, grid, price_path(signal_path, grid))
+    drawn = signal_path is None
+    path = simulate_signal(signal, grid, seed) if drawn else np.asarray(signal_path, dtype=float)
+    forecast_diag = forecast_diagonal(signal, path, grid)
+    fixed = isinstance(signal, ZeroSignal) or (drawn and isinstance(signal, OUSignal)
+                                               and signal.sigma == 0.0)
+    a, u = _schur_solve(integrated_increments(kernel, params, grid), params, grid, signal,
+                        None if fixed else path)
+    strat = rollout(u, params, grid, kernel, signal_values=path)
+    breakdown = evaluate_objective(strat, params, grid, price_path(path, grid))
     return ScenarioSolution(path=replace(strat, objective=breakdown), source=a,
-                            forecast_diag=forecast_diagonal(signal, signal_path, grid))
+                            forecast_diag=forecast_diag)
 
 
 def solve_scenario(params: ScenarioParams, kernel: PropagatorKernel,

@@ -229,7 +229,7 @@ def forecast_diagonal(model: SignalModel, path: np.ndarray, grid: TimeGrid) -> n
     if isinstance(model, OUSignal):
         return ou_forecast_factors(model.gamma, grid)[1] * _as_path(path, grid)
     if isinstance(model, ZeroSignal):
-        return np.zeros(grid.n + 1)
+        return np.zeros_like(_as_path(path, grid))
     return np.diag(forecast_matrix(model, path, grid)).copy()
 
 

@@ -487,8 +487,9 @@ class TestEngine:
                 want = engine.source_vector(N)
                 a = engine.source_for_path(path)
                 assert np.max(np.abs(a - want)) <= 1e-15 * np.max(np.abs(want)), sig
+                # the Schur route takes the same dots in another summation order
                 detail = solve_scenario_detail(params, frac_kernel, sig, grid, signal_path=path)
-                assert np.array_equal(detail.source, a)
+                assert np.max(np.abs(detail.source - a)) <= 1e-13 * np.max(np.abs(a)), sig
                 assert np.array_equal(detail.forecast_diag, np.diag(N)), sig
 
     def test_solve_builds_no_forecast_matrix(self, monkeypatch, fig1_params, frac_kernel):
@@ -534,8 +535,9 @@ class TestEngine:
                 assert a.shape == path.shape and a.flags.writeable
                 assert np.array_equal(a, ref) and np.array_equal(np.signbit(a), np.signbit(ref))
             assert len(calls) == 1
+            # the Schur route contracts the same forecast column by column
             detail = solve_scenario_detail(params, exp_kernel, sig, grid)
-            assert np.array_equal(detail.source, want)
+            assert np.max(np.abs(detail.source - want)) <= 1e-13 * np.max(np.abs(want))
             assert np.array_equal(detail.forecast_diag, np.diag(N))
 
     def test_signal_that_cannot_be_sourced_fails_the_build(self, fig1_params, exp_kernel,
@@ -682,6 +684,19 @@ class TestEngine:
             else:
                 solve_scenario_detail(params, ZeroKernel(), sig, grid)
 
+    @pytest.mark.parametrize("n", [128, 129, 200])
+    def test_overflowing_feedback_raises_numeric_error(self, n):
+        # at lambda = 1e-310 the pivots pass but row n of I - B, g / (2 lam),
+        # is infinite; at n = 129 it lies in a block that LAPACK's inverse
+        # calls singular. Under pytest's warnings-as-errors filter the build
+        # or the batch must raise NumericError, never LinAlgError
+        params = ScenarioParams(q=10, T=10, lam=1e-310, varrho=4)
+        grid = TimeGrid.uniform(10, n)
+        sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
+        with pytest.raises(NumericError, match="non-finite"):
+            engine = NystromEngine(params, ExponentialKernel(1.0, 0.5), grid, sig)
+            engine.speeds_for_paths(simulate_signal(sig, grid, seed=1, n_paths=3))
+
 
 def route_kernels(grid):
     """Every closed-form kernel and a tabulated one, on ``grid``."""
@@ -695,14 +710,19 @@ DETERMINISTIC_SIGNALS = [ZeroSignal()] + [OUSignal(I0=2.0, gamma=gamma, sigma=0.
 
 
 def engine_solve(params, kernel, grid, sig, path):
-    """Source and speeds of the engine route, composed as the solver composes them."""
+    """Source and speeds of one path from the batch engine, the reference of the Schur route."""
     engine = NystromEngine(params, kernel, grid, sig)
     a = engine.source_for_path(path)
     return a, engine._speeds(a)
 
 
 class TestDeterministicRoute:
-    """A zero signal, or OU with sigma = 0, solves A u[:n] = w in one Schur pass."""
+    """Forecasts never revised: A u[:n] = w in one Schur pass, no back substitution.
+
+    That is a zero signal, or OU with sigma = 0 whose path the solver draws.
+    The errors that the Schur route shares with the engine are tested here
+    on both.
+    """
 
     def test_system_is_rows_times_toeplitz(self, fig1_params, frac_kernel):
         # (I - B)[:n, :n] = F A, the identity that the route rests on
@@ -715,9 +735,9 @@ class TestDeterministicRoute:
 
     @pytest.mark.parametrize("n", [2, 3, 64, 129, 1000])
     def test_matches_engine_route(self, n):
-        # an explicit path takes the engine route; without one, a
-        # deterministic signal takes the Schur route, and the two agree to
-        # rounding. At gamma = 80 the forecasts underflow
+        # the engine on the drawn path against the Schur route, which skips
+        # the back substitution here; the two agree to rounding. At
+        # gamma = 80 the forecasts underflow
         params = ScenarioParams(q=10.0, T=10.0, lam=0.5, varrho=4.0, h0=0.3)
         grid = TimeGrid.uniform(10.0, n)
         for kernel in route_kernels(grid):
@@ -746,11 +766,14 @@ class TestDeterministicRoute:
         h_tilde = params.h0_values(grid) - 2.0 * varrho * params.q
         want = np.linalg.solve(dense_curvature(inc, params, grid, 0), N[:n, 0] - h_tilde[:n])
         u = solve_scenario(params, kernel, sig, grid).u
-        assert np.max(np.abs(u[:n] - want)) <= 1e-10 * np.max(np.abs(want)), kernel
+        # subnormal speeds (varrho = 5e-324 with no signal and no h0) carry
+        # no relative precision: the floor is the smallest normal double
+        tiny = np.finfo(float).tiny
+        assert np.max(np.abs(u[:n] - want)) <= 1e-10 * np.max(np.abs(want)) + tiny, kernel
         a_n = (N[n, n] - h_tilde[n]) / (2.0 * lam)
         feedback = inc.L[n, :n] / (2.0 * lam)
         scale = abs(a_n) + np.abs(feedback) @ np.abs(want)
-        assert abs(u[n] - (a_n - feedback @ want)) <= 1e-10 * scale, kernel
+        assert abs(u[n] - (a_n - feedback @ want)) <= 1e-10 * scale + tiny, kernel
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 100])
     def test_toeplitz_inverse_apply_matches_dense_inverse(self, n, rng):
@@ -779,42 +802,37 @@ class TestDeterministicRoute:
         for sig in DETERMINISTIC_SIGNALS:
             assert np.all(np.isfinite(solve_scenario(fig1_params, frac_kernel, sig, grid).u))
 
-    def test_other_inputs_keep_the_engine_route(self, fig1_params, frac_kernel, rng):
-        # OU with sigma > 0, a tabulated signal, and any explicit path: the
-        # speeds and source of the engine, bit for bit
-        n = 150
-        grid = TimeGrid.uniform(10.0, n)
-        forecast = np.tril(rng.normal(size=(n + 1, n + 1)))
-        tabulated = TabulatedSignal(rng.normal(size=n + 1), forecast=forecast)
-        cases = [(OUSignal(I0=2.0, gamma=0.3, sigma=0.5), None), (tabulated, None),
-                 (OUSignal(I0=2.0, gamma=0.3, sigma=0.0), rng.normal(size=n + 1)),
-                 (ZeroSignal(), np.zeros(n + 1))]
-        for sig, given_path in cases:
-            path = simulate_signal(sig, grid, seed=8) if given_path is None else given_path
-            a, u = engine_solve(fig1_params, frac_kernel, grid, sig, path)
-            detail = solve_scenario_detail(fig1_params, frac_kernel, sig, grid, seed=8,
-                                           signal_path=given_path)
-            assert np.array_equal(detail.source, a) and np.array_equal(detail.path.u, u), sig
-
-    @pytest.mark.parametrize("sigma", [0.0, 0.5], ids=["schur", "engine"])
-    def test_phi_raises_the_same_input_error(self, exp_kernel, sigma):
+    @pytest.mark.parametrize("route", ["schur", "engine"])
+    def test_phi_raises_the_same_input_error(self, exp_kernel, route):
+        # the single-solve Schur route, with and without back substitution,
+        # and the batch engine
         params = ScenarioParams(q=10, T=10, lam=0.5, varrho=4, phi=1.0)
         grid = TimeGrid.uniform(10, 8)
-        with pytest.raises(InputError, match="the grid solver is stated for phi = 0; use "
-                                             "exec_solver.oracle"):
-            solve_scenario(params, exp_kernel, OUSignal(I0=2.0, gamma=0.3, sigma=sigma), grid)
+        for sigma in (0.0, 0.5):
+            sig = OUSignal(I0=2.0, gamma=0.3, sigma=sigma)
+            with pytest.raises(InputError, match="the grid solver is stated for phi = 0; use "
+                                                 "exec_solver.oracle"):
+                if route == "schur":
+                    solve_scenario(params, exp_kernel, sig, grid)
+                else:
+                    NystromEngine(params, exp_kernel, grid, sig)
 
-    @pytest.mark.parametrize("sigma", [0.0, 0.5], ids=["schur", "engine"])
+    @pytest.mark.parametrize("route", ["schur", "engine"])
     @pytest.mark.parametrize("n", [3, 5, 8])
-    def test_singular_section_names_the_same_step(self, monkeypatch, n, sigma):
+    def test_singular_section_names_the_same_step(self, monkeypatch, n, route):
         # the cells of TestResponse::test_singular_leading_section_names_step
         inc = increments_from_cells([1.0, 4.0] + [0.5] * (n - 2))
         monkeypatch.setattr(nystrom_mod, "integrated_increments", lambda *args: inc)
         params = ScenarioParams(q=1, T=n, lam=0.5)
         grid = TimeGrid.uniform(n, n)
-        sig = OUSignal(I0=2.0, gamma=0.3, sigma=sigma)
-        with pytest.raises(NumericError, match=f"curvature matrix at step {n - 2} is singular"):
-            solve_scenario(params, ZeroKernel(), sig, grid)
+        for sigma in (0.0, 0.5):
+            sig = OUSignal(I0=2.0, gamma=0.3, sigma=sigma)
+            with pytest.raises(NumericError, match=f"curvature matrix at step {n - 2} is "
+                                                   "singular"):
+                if route == "schur":
+                    solve_scenario(params, ZeroKernel(), sig, grid)
+                else:
+                    NystromEngine(params, ZeroKernel(), grid, sig)
 
     def test_overflowing_rows_raise_numeric_error(self):
         # TestEngine's case with sigma = 0, under pytest's warnings-as-errors
@@ -832,6 +850,150 @@ class TestDeterministicRoute:
         sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.0)
         with pytest.raises(NumericError, match="non-finite source vector"):
             solve_scenario_detail(params, ExponentialKernel(1.0, 0.5), sig, grid)
+
+
+def revised_cases(grid, rng):
+    """(signal, explicit path or None) pairs whose forecasts may be revised.
+
+    Noisy OU at every gamma of DETERMINISTIC_SIGNALS, a tabulated signal
+    with a random forecast, and explicit paths, which need not follow the
+    forecasts of their signal; a zero signal's forecasts stay zero on any
+    path, so its solve skips the back substitution.
+    """
+    n = grid.n
+    forecast = np.tril(rng.normal(size=(n + 1, n + 1)))
+    return ([(OUSignal(I0=2.0, gamma=gamma, sigma=0.5), None)
+             for gamma in (0.0, 1e-13, 0.3, 80.0)]
+            + [(TabulatedSignal(rng.normal(size=n + 1), forecast=forecast), None),
+               (TabulatedSignal(rng.normal(size=n + 1), forecast=forecast),
+                rng.normal(size=n + 1)),
+               (OUSignal(I0=2.0, gamma=0.3, sigma=0.0), rng.normal(size=n + 1)),
+               (OUSignal(I0=-1.0, gamma=0.3, sigma=0.5), rng.normal(size=n + 1)),
+               (ZeroSignal(), rng.normal(size=n + 1))])
+
+
+class TestSchurRoute:
+    """Every single solve, back substitution included, against the batch engine."""
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 129, 1000])
+    def test_matches_engine_route(self, n, rng):
+        params = ScenarioParams(q=10.0, T=10.0, lam=0.5, varrho=4.0, h0=0.3)
+        grid = TimeGrid.uniform(10.0, n)
+        for kernel in route_kernels(grid):
+            for sig, given_path in revised_cases(grid, rng):
+                detail = solve_scenario_detail(params, kernel, sig, grid, seed=3,
+                                               signal_path=given_path)
+                path = simulate_signal(sig, grid, seed=3) if given_path is None else given_path
+                assert np.array_equal(detail.path.I, path)
+                a, u = engine_solve(params, kernel, grid, sig, path)
+                du, da = detail.path.u - u, detail.source - a
+                assert np.max(np.abs(du)) <= 1e-11 * np.max(np.abs(u)), (kernel, sig)
+                assert np.max(np.abs(da)) <= 1e-13 * np.max(np.abs(a)), (kernel, sig)
+
+    def test_other_inputs_agree_with_the_engine(self, fig1_params, frac_kernel, rng):
+        # OU with sigma > 0, a tabulated signal, and explicit paths: the
+        # speeds and source of the engine, to rounding
+        n = 150
+        grid = TimeGrid.uniform(10.0, n)
+        forecast = np.tril(rng.normal(size=(n + 1, n + 1)))
+        tabulated = TabulatedSignal(rng.normal(size=n + 1), forecast=forecast)
+        cases = [(OUSignal(I0=2.0, gamma=0.3, sigma=0.5), None), (tabulated, None),
+                 (OUSignal(I0=2.0, gamma=0.3, sigma=0.0), rng.normal(size=n + 1)),
+                 (ZeroSignal(), np.zeros(n + 1))]
+        for sig, given_path in cases:
+            path = simulate_signal(sig, grid, seed=8) if given_path is None else given_path
+            a, u = engine_solve(fig1_params, frac_kernel, grid, sig, path)
+            detail = solve_scenario_detail(fig1_params, frac_kernel, sig, grid, seed=8,
+                                           signal_path=given_path)
+            assert np.max(np.abs(detail.path.u - u)) <= 1e-11 * np.max(np.abs(u)), sig
+            assert np.max(np.abs(detail.source - a)) <= 1e-13 * np.max(np.abs(a)), sig
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 64), varrho=st.floats(0.0, 10.0),
+           lam=st.floats(0.05, 5.0), T=st.floats(0.5, 20.0), gamma=st.floats(0.0, 5.0),
+           h0=st.floats(-2.0, 2.0), case=st.sampled_from(["ou", "tabulated", "path"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_solve_property(self, data, n, varrho, lam, T, gamma, h0, case,
+                                          seed):
+        # u against a dense solve of the engine's own I - B with the
+        # engine's source, for noisy OU, tabulated and explicit paths
+        params = ScenarioParams(q=10, T=T, lam=lam, varrho=varrho, h0=h0)
+        grid = TimeGrid.uniform(T, n)
+        kernel = data.draw(admissible_kernels(grid))
+        gen = np.random.default_rng(seed)
+        given_path = None
+        if case == "tabulated":
+            sig = TabulatedSignal(gen.normal(size=n + 1),
+                                  forecast=gen.normal(size=(n + 1, n + 1)))
+        else:
+            sig = OUSignal(I0=2.0, gamma=gamma, sigma=0.5)
+            if case == "path":
+                given_path = gen.normal(size=n + 1)
+        detail = solve_scenario_detail(params, kernel, sig, grid, seed=seed % 1000,
+                                       signal_path=given_path)
+        engine = NystromEngine(params, kernel, grid, sig)
+        a = engine.source_for_path(detail.path.I)
+        want = np.linalg.solve(split_rows(engine.rows)[1], a)
+        u = detail.path.u
+        assert np.max(np.abs(u[:n] - want[:n])) <= 1e-10 * np.max(np.abs(want[:n])), kernel
+        # u_n = a_n - (row n of B) . u[:n] amplifies the rounding of u[:n]
+        # by the feedback g / (2 lam), as in TestDeterministicRoute
+        scale = abs(a[n]) + np.abs(engine.rows[n]) @ np.abs(want[:n])
+        assert abs(u[n] - want[n]) <= 1e-10 * scale, kernel
+
+    @pytest.mark.parametrize("n", [2, 17, 200])
+    def test_speeds_are_adapted_to_the_path(self, n, fig1_params, rng):
+        # u_i may use I_0..I_i only: bumping the path after step k leaves
+        # u[:k+1] where it was, to rounding, though the solve never forms
+        # the triangular (I - B)^{-1} that makes this exact
+        grid = TimeGrid.uniform(10.0, n)
+        sig = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
+        for kernel in route_kernels(grid):
+            path = simulate_signal(sig, grid, seed=5)
+            u = solve_scenario(fig1_params, kernel, sig, grid, signal_path=path).u
+            for k in sorted({0, n // 2, n - 1}):
+                bumped = path.copy()
+                bumped[k + 1:] += 10.0 * rng.normal(size=n - k)
+                moved = solve_scenario(fig1_params, kernel, sig, grid, signal_path=bumped).u
+                assert np.max(np.abs(moved[:k + 1] - u[:k + 1])) <= 1e-12 * np.max(np.abs(u))
+                # I_n is never read: its forecast s_n * I_n is zero
+                assert k == n - 1 or not np.array_equal(moved[k + 1:], u[k + 1:])
+
+    def test_builds_no_engine_or_rows(self, monkeypatch, fig1_params, frac_kernel, rng):
+        def refuse(*args):
+            raise AssertionError("engine route taken")
+
+        for name in ("NystromEngine", "response_rows", "_diagonal_block_inverses"):
+            monkeypatch.setattr(nystrom_mod, name, refuse)
+        grid = TimeGrid.uniform(10.0, 200)
+        for sig, given_path in revised_cases(grid, rng):
+            sp = solve_scenario(fig1_params, frac_kernel, sig, grid, signal_path=given_path)
+            assert np.all(np.isfinite(sp.u)), sig
+
+    def test_bad_signal_or_path_raises_before_the_pass(self, monkeypatch, fig1_params,
+                                                       exp_kernel):
+        class OtherSignal(SignalModel):
+            pass
+
+        def unreachable(*args):
+            raise AssertionError("Schur pass started")
+
+        monkeypatch.setattr(nystrom_mod, "_schur_states", unreachable)
+        grid = TimeGrid.uniform(10.0, 8)
+        ou = OUSignal(I0=2.0, gamma=0.3, sigma=0.5)
+        with pytest.raises(UnsupportedSignalError, match="no closed-form forecast"):
+            solve_scenario(fig1_params, exp_kernel, TabulatedSignal(np.ones(9)), grid)
+        with pytest.raises(InputError, match=r"expected \(9, 9\)"):
+            solve_scenario(fig1_params, exp_kernel,
+                           TabulatedSignal(np.ones(10), forecast=np.eye(10)), grid,
+                           signal_path=np.ones(9))
+        with pytest.raises(InputError, match="unknown signal model OtherSignal"):
+            solve_scenario(fig1_params, exp_kernel, OtherSignal(), grid,
+                           signal_path=np.zeros(9))
+        for sig in (ou, OUSignal(I0=2.0, gamma=0.3, sigma=0.0), ZeroSignal()):
+            for bad in (np.zeros(8), np.zeros((2, 9))):
+                with pytest.raises(InputError, match="signal path has shape"):
+                    solve_scenario(fig1_params, exp_kernel, sig, grid, signal_path=bad)
 
 
 class TestScenario:
